@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .ordering import OrderDag, _admitted_rows, _order_from_scan
+from .ordering import OrderDag, extract_order_dense
 from .qubo import QuboMatrix, _as_assignment
 
 __all__ = [
@@ -93,26 +93,10 @@ def linearize(q: QuboMatrix, g: OrderDag) -> tuple[QuboMatrix, LinearizationRepo
 
 
 def extract_and_linearize(q: QuboMatrix) -> tuple[QuboMatrix, OrderDag, LinearizationReport]:
-    """Single-pass extraction plus rewriting.
-
-    Edges are rewritten the moment the dense scan admits them, against
-    scores taken from the unmodified input, so the result matrix is
-    term-for-term identical to running :func:`extract_order_dense` followed
-    by :func:`linearize`.
-    """
-    terms = dict(q.terms)
-    edges: list[tuple[int, int]] = []
-    removed: list[tuple[int, int, float]] = []
-    coeffs: dict[tuple[int, int], float] = {}
-    for i, admitted in _admitted_rows(q):
-        for j in admitted.tolist():
-            edges.append((i, j))
-            c = _apply_edge(terms, i, j)
-            coeffs[(i, j)] = c
-            if c > 0.0:
-                removed.append((i, j, c))
-    dag = _order_from_scan(q.n, tuple(edges))
-    return QuboMatrix(q.n, terms), dag, LinearizationReport(tuple(removed), coeffs)
+    """:func:`extract_order_dense` followed by :func:`linearize`."""
+    order = extract_order_dense(q)
+    q_lin, report = linearize(q, order)
+    return q_lin, order, report
 
 
 def penalty_value(q: QuboMatrix, g: OrderDag, x: Sequence[int]) -> float:

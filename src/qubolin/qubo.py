@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -96,24 +97,16 @@ class QuboMatrix:
         return d
 
     @cached_property
-    def _neighbor_maps(self) -> list[dict[int, float]]:
-        """Per-variable map ``j -> a_ij`` over off-diagonal neighbours."""
-        maps: list[dict[int, float]] = [dict() for _ in range(self.n)]
-        for (i, j), v in self.terms.items():
-            if i != j:
-                maps[i][j] = v
-                maps[j][i] = v
-        return maps
-
-    @cached_property
-    def _adjacency(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-variable neighbour index/value arrays (for O(degree) deltas)."""
-        out = []
-        for m in self._neighbor_maps:
-            js = np.fromiter(m.keys(), dtype=np.intp, count=len(m))
-            vs = np.fromiter(m.values(), dtype=np.float64, count=len(m))
-            out.append((js, vs))
-        return out
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, data)``: the neighbours ``j`` of ``i``, ascending,
+        and their couplings ``a_ij`` at ``indptr[i]:indptr[i + 1]``."""
+        rows, cols, vals = self._coo
+        off = rows != cols
+        r = np.concatenate([rows[off], cols[off]])
+        c = np.concatenate([cols[off], rows[off]])
+        v = np.concatenate([vals[off], vals[off]])
+        perm = np.lexsort((c, r))
+        return np.searchsorted(r[perm], np.arange(self.n + 1)), c[perm], v[perm]
 
     def dense_symmetric(self) -> np.ndarray:
         """Dense symmetric coefficient matrix: ``a_ij`` off-diagonal, ``Q_ii`` on it."""
@@ -136,13 +129,21 @@ class QuboMatrix:
             raw = data["terms"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"QUBO JSON must contain 'n' and 'terms': {exc}") from exc
-        if not isinstance(n, int):
+        # exact type tests: isinstance would take JSON booleans for integers
+        if type(n) is not int:
             raise ValueError(f"'n' must be an integer, got {n!r}")
+        if type(raw) is not list:
+            raise ValueError(f"'terms' must be a list of [i, j, value] entries, got {raw!r}")
         entries = []
         for item in raw:
-            if len(item) != 3:
+            if type(item) is not list or len(item) != 3:
                 raise ValueError(f"term entry must be [i, j, value], got {item!r}")
-            entries.append((int(item[0]), int(item[1]), float(item[2])))
+            i, j, v = item
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"term {item!r}: indices must be integers")
+            if type(v) is not float and (type(v) is not int or abs(v) > sys.float_info.max):
+                raise ValueError(f"term {item!r}: coefficient must be a finite number")
+            entries.append((i, j, v))
         return QuboMatrix.from_entries(n, entries)
 
 
@@ -174,10 +175,9 @@ def flip_delta(q: QuboMatrix, x: Sequence[int], i: int) -> float:
     arr = _as_assignment(q.n, x)
     if not 0 <= i < q.n:
         raise ValueError(f"bit index {i} out of range for n={q.n}")
-    js, vs = q._adjacency[i]
-    fld = q._diag[i]
-    if len(js):
-        fld += float(vs @ arr[js])
+    indptr, indices, data = q._csr
+    lo, hi = indptr[i], indptr[i + 1]
+    fld = q._diag[i] + float(data[lo:hi] @ arr[indices[lo:hi]])
     return (1.0 - 2.0 * arr[i]) * fld
 
 

@@ -81,6 +81,17 @@ def reference_extraction(q: QuboMatrix, prune: bool = True):
     return tuple(ordered)
 
 
+def reference_score(q: QuboMatrix, i: int, j: int) -> float:
+    """Literal scalar transcription of the pair score
+    ``sum(max(0, a_jk - a_ik) for k != i, j) + a_jj - a_ii``."""
+    a = q.dense_symmetric()
+    s = a[j, j] - a[i, i]
+    for k in range(q.n):
+        if k != i and k != j:
+            s += max(0.0, a[j, k] - a[i, k])
+    return float(s)
+
+
 def random_integer_qubo(rng: np.random.Generator, n: int, density: float = 0.5,
                         low: int = -10, high: int = 10) -> QuboMatrix:
     """Random sparse integer matrix in canonical form."""

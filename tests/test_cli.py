@@ -113,6 +113,49 @@ class TestPipeline:
         assert load_qubo(out) == encode_linearized(inst, 8.0).qubo
 
 
+class TestMalformedJson:
+    """Malformed QUBO and order files exit 3 with a message naming the item."""
+
+    def _linearize(self, tmp_path, capsys, qubo_json, order_json=None):
+        qubo_path = tmp_path / "q.json"
+        qubo_path.write_text(qubo_json)
+        argv = ["linearize", "--in", str(qubo_path), "--out", str(tmp_path / "lin.json")]
+        if order_json is not None:
+            order_path = tmp_path / "order.json"
+            order_path.write_text(order_json)
+            argv += ["--order", str(order_path), "--no-verify"]
+        code = main(argv)
+        assert not (tmp_path / "lin.json").exists()
+        return code, capsys.readouterr().err
+
+    def test_terms_not_a_list(self, tmp_path, capsys):
+        code, err = self._linearize(tmp_path, capsys, '{"n": 3, "terms": 5}')
+        assert code == 3
+        assert "'terms' must be a list" in err and "5" in err
+
+    def test_float_indices(self, tmp_path, capsys):
+        code, err = self._linearize(tmp_path, capsys, '{"n": 2, "terms": [[0.7, 1.2, 5]]}')
+        assert code == 3
+        assert "[0.7, 1.2, 5]" in err and "indices must be integers" in err
+
+    def test_boolean_variable_count(self, tmp_path, capsys):
+        code, err = self._linearize(tmp_path, capsys, '{"n": true, "terms": []}')
+        assert code == 3
+        assert "'n' must be an integer, got True" in err
+
+    def test_string_coefficient(self, tmp_path, capsys):
+        code, err = self._linearize(tmp_path, capsys, '{"n": 2, "terms": [[0, 1, "3"]]}')
+        assert code == 3
+        assert "[0, 1, '3']" in err and "coefficient must be a finite number" in err
+
+    def test_float_order_edge(self, tmp_path, capsys):
+        code, err = self._linearize(
+            tmp_path, capsys, '{"n": 2, "terms": [[0, 1, 5]]}', '{"n": 2, "edges": [[0.9, 1.5]]}'
+        )
+        assert code == 3
+        assert "[0.9, 1.5]" in err and "pair of integers" in err
+
+
 class TestSolve:
     def test_brute_on_example(self, tmp_path, example_file):
         out = tmp_path / "samples.json"

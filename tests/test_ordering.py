@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import qubo_with_symmetric_block, random_integer_qubo, reference_extraction
+from conftest import (
+    qubo_with_symmetric_block,
+    random_integer_qubo,
+    reference_extraction,
+    reference_score,
+)
 from qubolin import (
     OrderDag,
     QuboMatrix,
@@ -9,9 +14,11 @@ from qubolin import (
     extract_order_sparse,
     in_ordered_subspace,
     score_pair,
+    symmetric_coefficient,
     verify_order,
 )
-from qubolin.ordering import load_order, save_order, topological_order
+from qubolin import ordering
+from qubolin.ordering import find_order_violation, load_order, save_order, topological_order
 
 
 class TestScorePair:
@@ -35,6 +42,15 @@ class TestScorePair:
     def test_equal_indices_rejected(self, example_q):
         with pytest.raises(ValueError):
             score_pair(example_q, 1, 1)
+
+    def test_matches_scalar_score_oracle(self):
+        rng = np.random.default_rng(40)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            q = random_integer_qubo(rng, n, density=float(rng.uniform(0.1, 1.0)))
+            for _ in range(20):
+                i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+                assert score_pair(q, i, j) == reference_score(q, i, j)
 
 
 class TestDenseExtraction:
@@ -70,12 +86,6 @@ class TestDenseExtraction:
             n = int(rng.integers(2, 35))
             q = random_integer_qubo(rng, n, density=float(rng.uniform(0.2, 1.0)))
             assert extract_order_dense(q).edges == reference_extraction(q)
-
-    def test_pruning_is_pure_optimization(self):
-        rng = np.random.default_rng(42)
-        for _ in range(30):
-            q = random_integer_qubo(rng, int(rng.integers(2, 30)))
-            assert extract_order_dense(q).edges == extract_order_dense(q, prune=False).edges
 
     def test_symmetric_block_gets_complete_total_order(self):
         rng = np.random.default_rng(43)
@@ -129,11 +139,10 @@ class TestSparseExtraction:
         rng = np.random.default_rng(48)
         for _ in range(25):
             q = random_integer_qubo(rng, int(rng.integers(2, 25)), density=0.4)
-            dense = set(extract_order_dense(q).edges)
-            sparse = set(extract_order_sparse(q).edges)
-            maps = q._neighbor_maps
-            adjacent_dense = {(i, j) for i, j in dense if j in maps[i]}
-            assert sparse == adjacent_dense
+            adjacent_dense = tuple(
+                (i, j) for i, j in extract_order_dense(q).edges if symmetric_coefficient(q, i, j)
+            )
+            assert extract_order_sparse(q).edges == adjacent_dense
 
     def test_large_sparse_instance(self):
         # genuinely sparse input: the neighbourhood-restricted scan must stay
@@ -141,9 +150,8 @@ class TestSparseExtraction:
         rng = np.random.default_rng(49)
         q = random_integer_qubo(rng, 400, density=0.01, low=-30, high=5)
         sparse = set(extract_order_sparse(q).edges)
-        maps = q._neighbor_maps
         dense_adjacent = {
-            (i, j) for i, j in extract_order_dense(q).edges if j in maps[i]
+            (i, j) for i, j in extract_order_dense(q).edges if symmetric_coefficient(q, i, j)
         }
         assert sparse == dense_adjacent
         assert all(score_pair(q, i, j) <= 0 for i, j in sparse)
@@ -169,6 +177,36 @@ class TestVerifyOrder:
     def test_dimension_mismatch(self, example_q):
         with pytest.raises(ValueError):
             verify_order(example_q, OrderDag(4, ()))
+
+    @pytest.mark.parametrize("block", [ordering._SCORE_BLOCK, 40])
+    def test_first_violation_matches_scalar_score_oracle(self, monkeypatch, block):
+        # random acyclic orders: edges follow a random permutation, listed in
+        # random file order, so the first failing edge is not the lowest pair;
+        # the small scorer block splits every order into many blocks
+        monkeypatch.setattr(ordering, "_SCORE_BLOCK", block)
+        rng = np.random.default_rng(50)
+        failing = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            q = random_integer_qubo(rng, n, density=float(rng.uniform(0.1, 1.0)))
+            perm = rng.permutation(n)
+            pairs = [(int(perm[a]), int(perm[b])) for a in range(n) for b in range(a + 1, n)]
+            picked = rng.choice(len(pairs), size=int(rng.integers(0, len(pairs) + 1)), replace=False)
+            edges = [pairs[k] for k in picked]
+            if rng.random() < 0.5:
+                # keep mostly certified edges, so that failures sit deep in the list
+                edges = [e for e in edges if reference_score(q, *e) <= 0 or rng.random() < 0.1]
+            g = OrderDag(n, tuple(edges))
+            expected = None
+            for i, j in g.edges:
+                s = reference_score(q, i, j)
+                if s > 0:
+                    expected = ("score", (i, j, s))
+                    break
+            got = find_order_violation(q, g)
+            assert got == expected
+            failing += got is not None
+        assert 0 < failing < 60
 
 
 class TestOrderDag:
