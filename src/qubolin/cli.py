@@ -113,13 +113,18 @@ def _cmd_linearize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_encode(args) -> int:
+def _load_encoding(args):
+    """Instance ``--index`` of the ``--mkp`` file and its encoding under ``--lambda``."""
     instances = parse_orlib(Path(args.mkp).read_text())
     if not 0 <= args.index < len(instances):
-        print(f"instance index {args.index} out of range (file holds {len(instances)})", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"instance index {args.index} out of range (file holds {len(instances)})")
     inst = instances[args.index]
     enc = encode_linearized(inst, args.lam) if args.linearize else encode_qubo(inst, args.lam)
+    return inst, enc
+
+
+def _cmd_encode(args) -> int:
+    inst, enc = _load_encoding(args)
     out = Path(args.out)
     save_qubo(enc.qubo, out)
     layout_path = Path(args.layout) if args.layout else out.with_suffix(out.suffix + ".layout.json")
@@ -132,6 +137,10 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if (args.beta_start is None) != (args.beta_end is None):
+        missing = "--beta-end" if args.beta_end is None else "--beta-start"
+        print(f"usage error: --beta-start and --beta-end go together; {missing} is missing", file=sys.stderr)
+        return EXIT_USAGE
     q = load_qubo(args.in_path)
     if args.method == "brute":
         value, assignment, count = brute_force(q)
@@ -139,7 +148,7 @@ def _cmd_solve(args) -> int:
         save_sampleset(result, args.out)
         print(f"minimum {value:g} attained by {count} assignment(s)")
         return EXIT_OK
-    if args.beta_start is not None and args.beta_end is not None:
+    if args.beta_start is not None:
         schedule = AnnealSchedule(
             sweeps=args.sweeps,
             beta_start=args.beta_start,
@@ -155,17 +164,24 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_decode(args) -> int:
-    instances = parse_orlib(Path(args.mkp).read_text())
-    if not 0 <= args.index < len(instances):
-        print(f"instance index {args.index} out of range (file holds {len(instances)})", file=sys.stderr)
-        return EXIT_VALIDATION
-    inst = instances[args.index]
-    enc = encode_linearized(inst, args.lam) if args.linearize else encode_qubo(inst, args.lam)
-    data = json.loads(Path(args.samples).read_text())
+def _sample_bits(path: str, n: int) -> list[list[int]]:
+    """The assignments of a sample-set file, each checked to be ``n`` bits."""
+    data = json.loads(Path(path).read_text())
+    if type(data) is not dict or type(data.get("samples")) is not list:
+        raise ValueError(f"sample-set JSON must be an object with a 'samples' list, got {data!r}")
     rows = []
-    for sample in data["samples"]:
-        bits = [int(b) for b in sample["bits"]]
+    for k, sample in enumerate(data["samples"]):
+        bits = sample.get("bits") if type(sample) is dict else None
+        if type(bits) is not str or len(bits) != n or not set(bits) <= {"0", "1"}:
+            raise ValueError(f"sample {k} needs 'bits' as a string of {n} 0/1 characters, got {sample!r}")
+        rows.append([int(b) for b in bits])
+    return rows
+
+
+def _cmd_decode(args) -> int:
+    inst, enc = _load_encoding(args)
+    rows = []
+    for bits in _sample_bits(args.samples, enc.qubo.n):
         d = decode(enc, bits, inst)
         rows.append(
             {"objective": d.objective, "feasible": d.feasible, "excess": list(d.excess)}

@@ -56,7 +56,12 @@ MKP_GAP_FIELDS = [
 
 def _max_workers(cells: int) -> int:
     env = os.environ.get("QUBOLIN_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    if not env:
+        cap = os.cpu_count() or 1
+    elif env.isascii() and env.isdigit() and int(env) > 0:
+        cap = int(env)
+    else:
+        raise ValueError(f"QUBOLIN_THREADS must be a positive integer, got {env!r}")
     return max(1, min(cap, cells))
 
 
@@ -79,6 +84,8 @@ def od_reduction(
 
     One row per (p, seed) cell plus a summary row per p with seed "mean".
     """
+    if not seeds:
+        raise ValueError("od_reduction needs at least one seed")
     cells = [(p, seed) for p in p_grid for seed in seeds]
 
     def run(cell):
@@ -168,6 +175,8 @@ def run_timing(
         raise ValueError(f"need at least 4 distinct problem sizes, got {sorted(set(ns))}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if not seeds:
+        raise ValueError("run_timing needs at least one seed")
     rows = []
     per_class_points: dict[str, list[tuple[int, float]]] = {c: [] for c in classes}
     for label in classes:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .ordering import OrderDag, extract_order_dense
-from .qubo import QuboMatrix, _as_assignment
+from .qubo import QuboMatrix, _as_assignment, symmetric_coefficient
 
 __all__ = [
     "LinearizationReport",
@@ -50,11 +50,6 @@ class LinearizationReport:
             "removed_count": self.removed_count,
             "removed": [[i, j, c] for i, j, c in self.removed],
         }
-
-
-def _edge_coefficient(terms: dict[tuple[int, int], float], i: int, j: int) -> float:
-    key = (i, j) if i < j else (j, i)
-    return terms.get(key, 0.0)
 
 
 def _apply_edge(terms: dict[tuple[int, int], float], i: int, j: int) -> float:
@@ -110,7 +105,7 @@ def penalty_value(q: QuboMatrix, g: OrderDag, x: Sequence[int]) -> float:
     arr = _as_assignment(q.n, x)
     total = 0.0
     for i, j in g.edges:
-        c = _edge_coefficient(q.terms, i, j)
+        c = symmetric_coefficient(q, i, j)
         if c > 0.0:
             total += c * arr[i] * (1.0 - arr[j])
     return total

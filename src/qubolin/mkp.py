@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,8 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import LimitError, ParseError
+from .linearize import linearize
 from .ordering import OrderDag
 from .qubo import QuboMatrix, _as_assignment
+from .solver import _bit_rows, _index_bits
 
 __all__ = [
     "MkpInstance",
@@ -269,9 +271,17 @@ def slack_blocks(inst: MkpInstance) -> tuple[SlackBlock, ...]:
     return blocks
 
 
-def _penalty_terms(inst: MkpInstance, blocks: Sequence[SlackBlock], lam: float):
-    """Quadratic expansion of ``lam * sum_k (w_k . x - slack_k)**2``, without
-    the decision-decision cross terms (callers place those)."""
+def encode_qubo(inst: MkpInstance, lam: float) -> QuboEncoding:
+    """Penalty encoding ``-sum v_i x_i + lam * sum_k (w_k . x - slack_k)**2``.
+
+    Decision bits come first in item order, then one slack block per
+    constraint.  Decision pairs i < j carry coefficient
+    ``2 * lam * sum_k w_ki * w_kj``.
+    """
+    if lam <= 0:
+        raise ValueError(f"penalty coefficient must be positive, got {lam}")
+    blocks = slack_blocks(inst)
+    n_total = blocks[-1].offset + blocks[-1].bits
     terms: dict[tuple[int, int], float] = {}
     w = inst._w
     for i in range(inst.n):
@@ -285,34 +295,10 @@ def _penalty_terms(inst: MkpInstance, blocks: Sequence[SlackBlock], lam: float):
                 terms[(yt, block.offset + u)] = float(2.0 * lam * st * block.weights[u])
             for i in range(inst.n):
                 terms[(i, yt)] = float(-2.0 * lam * int(w[k, i]) * st)
-    return terms
-
-
-def _accumulate(terms: dict[tuple[int, int], float], key: tuple[int, int], value: float):
-    total = terms.get(key, 0.0) + value
-    if total == 0.0:
-        terms.pop(key, None)
-    else:
-        terms[key] = total
-
-
-def encode_qubo(inst: MkpInstance, lam: float) -> QuboEncoding:
-    """Penalty encoding ``-sum v_i x_i + lam * sum_k (w_k . x - slack_k)**2``.
-
-    Decision bits come first in item order, then one slack block per
-    constraint.  Decision pairs i < j carry coefficient
-    ``2 * lam * sum_k w_ki * w_kj``.
-    """
-    if lam <= 0:
-        raise ValueError(f"penalty coefficient must be positive, got {lam}")
-    blocks = slack_blocks(inst)
-    n_total = blocks[-1].offset + blocks[-1].bits
-    terms = _penalty_terms(inst, blocks, lam)
-    w = inst._w
     cross = 2.0 * lam * (w.T.astype(np.float64) @ w.astype(np.float64))
     for i in range(inst.n):
         for j in range(i + 1, inst.n):
-            _accumulate(terms, (i, j), float(cross[i, j]))
+            terms[(i, j)] = float(cross[i, j])
     terms = {k: v for k, v in terms.items() if v != 0.0}
     return QuboEncoding(
         qubo=QuboMatrix(n_total, terms),
@@ -346,44 +332,18 @@ def extract_mkp_order(inst: MkpInstance) -> OrderDag:
     return OrderDag(inst.n, edges)
 
 
-def _lift_order(order: OrderDag, n_total: int) -> OrderDag:
-    return OrderDag(n_total, order.edges)
-
-
 def encode_linearized(inst: MkpInstance, lam: float) -> QuboEncoding:
-    """Penalty encoding with dominance edges rewritten at construction time.
+    """:func:`encode_qubo` followed by :func:`qubolin.linearize.linearize`
+    along the dominance order of :func:`extract_mkp_order`.
 
-    For each dominance edge (i, j) the decision-decision coefficient
-    ``2 * lam * sum_k w_ki * w_kj`` lands on the diagonal of ``x_i`` instead
-    of the off-diagonal cell; slack terms are untouched.  The result matches
-    :func:`qubolin.linearize.linearize` applied after :func:`encode_qubo`.
+    Each dominance edge (i, j) moves the decision-decision coefficient
+    ``2 * lam * sum_k w_ki * w_kj`` onto the diagonal of ``x_i``; slack terms
+    are untouched.  The order is kept on the encoding, over all variables.
     """
-    if lam <= 0:
-        raise ValueError(f"penalty coefficient must be positive, got {lam}")
-    order = extract_mkp_order(inst)
-    edge_pairs = {frozenset(e): e[0] for e in order.edges}
-    blocks = slack_blocks(inst)
-    n_total = blocks[-1].offset + blocks[-1].bits
-    terms = _penalty_terms(inst, blocks, lam)
-    w = inst._w
-    cross = 2.0 * lam * (w.T.astype(np.float64) @ w.astype(np.float64))
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            c = float(cross[i, j])
-            source = edge_pairs.get(frozenset((i, j)))
-            if source is None:
-                _accumulate(terms, (i, j), c)
-            else:
-                _accumulate(terms, (source, source), c)
-    terms = {k: v for k, v in terms.items() if v != 0.0}
-    return QuboEncoding(
-        qubo=QuboMatrix(n_total, terms),
-        layout=blocks,
-        lam=float(lam),
-        linearized=True,
-        order=_lift_order(order, n_total),
-        n_decision=inst.n,
-    )
+    enc = encode_qubo(inst, lam)
+    order = OrderDag(enc.qubo.n, extract_mkp_order(inst).edges)
+    q_lin, _ = linearize(enc.qubo, order)
+    return replace(enc, qubo=q_lin, linearized=True, order=order)
 
 
 def decode(enc: QuboEncoding, x: Sequence[int], inst: MkpInstance) -> DecodedSolution:
@@ -456,9 +416,7 @@ def mkp_exact_oracle(inst: MkpInstance) -> tuple[int, tuple[int, ...]]:
     block_bits = min(n, 18)
     for h in range(2 ** (n - block_bits)):
         lo = h << block_bits
-        x = ((np.arange(lo, lo + 2**block_bits)[:, None] >> np.arange(n)[None, :]) & 1).astype(
-            np.float64
-        )
+        x = _bit_rows(lo, 2**block_bits, n)
         feasible = np.all(x @ w.T <= caps[None, :], axis=1)
         obj = x @ v
         obj[~feasible] = -1.0
@@ -466,7 +424,7 @@ def mkp_exact_oracle(inst: MkpInstance) -> tuple[int, tuple[int, ...]]:
         if obj[k] > best:
             best = int(obj[k])
             best_index = lo + k
-    return best, tuple((best_index >> b) & 1 for b in range(n))
+    return best, _index_bits(best_index, n)
 
 
 def save_layout(enc: QuboEncoding, path: str | Path) -> None:

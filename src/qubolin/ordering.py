@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -84,10 +84,6 @@ class OrderDag:
         bad = np.intersect1d(ids, rev, assume_unique=True, return_indices=True)[2]
         if bad.size:
             raise ValueError(f"edge {self.edges[bad.min()]} present together with its reverse")
-
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "OrderDag":
-        return OrderDag(n, tuple((int(i), int(j)) for i, j in edges))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:

@@ -103,10 +103,11 @@ def default_schedule(q: QuboMatrix, sweeps: int, restarts: int, seed: int) -> An
 # exhaustive enumeration
 
 
-def _bit_matrix(width: int, count: int | None = None) -> np.ndarray:
-    """Rows are the binary expansions 0..count-1, bit b in column b."""
-    count = 2**width if count is None else count
-    return ((np.arange(count)[:, None] >> np.arange(width)[None, :]) & 1).astype(np.float64)
+def _bit_rows(lo: int, count: int, width: int) -> np.ndarray:
+    """Rows are the binary expansions of lo..lo+count-1, bit b in column b."""
+    return ((np.arange(lo, lo + count)[:, None] >> np.arange(width)[None, :]) & 1).astype(
+        np.float64
+    )
 
 
 def _index_bits(index: int, n: int) -> tuple[int, ...]:
@@ -127,7 +128,7 @@ def _block_energies(q: QuboMatrix):
     a = q.dense_symmetric()
     diag = a.diagonal().copy()
     low = min(n, _BLOCK_BITS)
-    xl = _bit_matrix(low)
+    xl = _bit_rows(0, 2**low, low)
     # energy(x) = (x A x + diag . x) / 2, both terms integral so halving is exact
     e_low = 0.5 * (np.einsum("ij,ij->i", xl @ a[:low, :low], xl) + xl @ diag[:low])
     if n == low:
@@ -137,7 +138,7 @@ def _block_energies(q: QuboMatrix):
     a_hh = a[low:, low:]
     diag_h = diag[low:]
     for h in range(2 ** (n - low)):
-        xh = np.array([(h >> b) & 1 for b in range(n - low)], dtype=np.float64)
+        xh = _bit_rows(h, 1, n - low)[0]
         e_high = 0.5 * (xh @ a_hh @ xh + diag_h @ xh)
         cross = xl @ (a_lh @ xh)
         yield h << low, e_low + cross + e_high
@@ -212,9 +213,9 @@ def _anneal_one(a: np.ndarray, diag: np.ndarray, betas: np.ndarray, rng) -> np.n
 def simulated_anneal(q: QuboMatrix, schedule: AnnealSchedule) -> SampleSet:
     """Metropolis single-bit-flip annealing; one sample per restart.
 
-    Each restart draws its own generator from ``(seed, restart)``, so serial
-    and restart-parallel executions produce identical sample sets.  Sample
-    energies are recomputed from scratch before being recorded.
+    Each restart draws its own generator from ``(seed, restart)``, so a
+    restart's sample does not depend on the number of restarts before it.
+    Sample energies are recomputed from scratch before being recorded.
     """
     a = q.dense_symmetric()
     diag = a.diagonal().copy()
@@ -253,10 +254,7 @@ def count_local_minima(q: QuboMatrix) -> int:
     block_bits = min(n, 16)
     blocks = 2 ** (n - block_bits)
     for h in range(blocks):
-        lo = h << block_bits
-        x = ((np.arange(lo, lo + 2**block_bits)[:, None] >> np.arange(n)[None, :]) & 1).astype(
-            np.float64
-        )
+        x = _bit_rows(h << block_bits, 2**block_bits, n)
         f = x @ a
         # field_i = diag_i + sum_{j != i} a_ij x_j; the row product already
         # carries diag_i x_i, hence the (1 - x) factor on the diagonal part

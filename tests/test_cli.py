@@ -1,10 +1,13 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from qubolin import QuboMatrix, load_qubo, od_count, parse_orlib, save_qubo
-from qubolin.cli import main
+from qubolin.cli import build_parser, main
 from qubolin.ordering import OrderDag, save_order
 
 
@@ -193,6 +196,15 @@ class TestSolve:
         assert len(data["samples"]) == 6
         assert min(s["energy"] for s in data["samples"]) == -8.0
 
+    @pytest.mark.parametrize("given, missing", [("--beta-start", "--beta-end"),
+                                                ("--beta-end", "--beta-start")])
+    def test_lone_beta_flag_is_usage_error(self, tmp_path, example_file, capsys, given, missing):
+        out = tmp_path / "samples.json"
+        assert main(["solve", "--in", str(example_file), "--method", "sa",
+                     given, "0.5", "--out", str(out)]) == 2
+        assert f"{missing} is missing" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEncodeDecode:
     def test_encode_solve_decode_round_trip(self, tmp_path, capsys):
@@ -239,6 +251,21 @@ class TestEncodeDecode:
         bad.write_text("1 2 1 0 10 7 5")
         assert main(["encode", "--mkp", str(bad), "--out", str(tmp_path / "x.json")]) == 3
 
+    @pytest.mark.parametrize("samples_text, message", [
+        ("{}", "'samples' list, got {}"),
+        ('{"samples": [{"bits": 5}]}', "sample 0 needs 'bits'"),
+        ('{"samples": [{"energy": 1}]}', "got {'energy': 1}"),
+        ("[1]", "'samples' list, got [1]"),
+    ])
+    def test_malformed_sample_set_exits_three(self, tmp_path, capsys, samples_text, message):
+        inst_path = tmp_path / "inst.txt"
+        main(["gen", "mkp", "--n", "4", "--m", "1", "--alpha", "0.5",
+              "--seed", "1", "--out", str(inst_path)])
+        samples = tmp_path / "samples.json"
+        samples.write_text(samples_text)
+        assert main(["decode", "--mkp", str(inst_path), "--samples", str(samples)]) == 3
+        assert message in capsys.readouterr().err
+
 
 class TestExperiments:
     def test_od_reduction_csv(self, tmp_path):
@@ -271,3 +298,69 @@ class TestExperiments:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["baseline", "linearized"]
         assert rows[0]["s_best"] == rows[1]["s_best"]
+
+    @pytest.mark.parametrize("argv", [
+        ["od-reduction", "--n", "10", "--p-grid", "0.5"],
+        ["timing", "--n-list", "8,12,16,24", "--classes", "hard", "--repeats", "1"],
+    ])
+    def test_zero_seeds_exits_three(self, tmp_path, capsys, argv):
+        out = tmp_path / "exp.csv"
+        assert main(["exp", *argv, "--seeds", "0", "--out", str(out)]) == 3
+        assert "at least one seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``qubolin ...`` invocation in the README's plain code blocks.
+
+    Indented lines continue the line above; ``[...]`` groups and ``#``
+    comments are dropped, shell variables read as 0, and each part of a
+    line split at ``;`` is taken when it starts with ``qubolin`` (or
+    ``do qubolin``, in a one-line loop).
+    """
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    logical: list[str] = []
+    info = None  # info string of the open fence, None outside a block
+    for line in text.splitlines():
+        if line.startswith("```"):
+            info = line[3:].strip() if info is None else None
+        elif info == "" and line.strip():
+            if line[0].isspace() and logical:
+                logical[-1] += " " + line.strip()
+            else:
+                logical.append(line)
+    commands = []
+    for line in logical:
+        line = re.sub(r"\[[^\]]*\]", "", line.split("#")[0])
+        for part in line.split(";"):
+            words = shlex.split(re.sub(r"\$\w+", "0", part))
+            if words[:1] == ["do"]:
+                words = words[1:]
+            if words[:1] == ["qubolin"]:
+                commands.append(words)
+    return commands
+
+
+def option_strings(parser) -> set[str]:
+    """Every option string of the parser and of its subcommands."""
+    out = set()
+    for action in parser._actions:
+        out.update(action.option_strings)
+        if isinstance(action.choices, dict):
+            for sub in action.choices.values():
+                out |= option_strings(sub)
+    return out
+
+
+def test_readme_command_lines_parse():
+    commands = readme_commands()
+    assert len(commands) >= 15
+    # argparse takes unambiguous prefixes, so a renamed flag could still parse
+    flags = option_strings(build_parser())
+    for words in commands:
+        try:
+            build_parser().parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(words)}")
+        stale = [w for w in words if w.startswith("--") and w not in flags]
+        assert not stale, f"README command uses unknown flags {stale}: {shlex.join(words)}"

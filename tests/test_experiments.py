@@ -165,3 +165,9 @@ class TestThreadCap:
         monkeypatch.setenv("QUBOLIN_THREADS", "1")
         serial, _ = od_reduction(20, 10, [0.5, 1.0], [0, 1])
         assert baseline == serial
+
+    @pytest.mark.parametrize("value", ["abc", "-4"])
+    def test_rejects_non_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("QUBOLIN_THREADS", value)
+        with pytest.raises(ValueError, match=f"QUBOLIN_THREADS.*'{value}'"):
+            od_reduction(10, 10, [0.5], [0])

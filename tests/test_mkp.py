@@ -353,6 +353,16 @@ class TestExactBaselines:
             inst = small_random_instance(rng, m=1, n=int(rng.integers(2, 12)))
             assert mkp_exact_oracle(inst)[0] == dp_knapsack_oracle(inst)[0]
 
+    def test_exact_oracle_spans_two_blocks(self):
+        # n = 19 takes two blocks of 2**18 selections; the optimum of seed 0
+        # takes item 18, so it lies in the second block
+        for seed in (0, 1):
+            inst = generate_mkp(19, 1, 0.5, seed)
+            score, selection = mkp_exact_oracle(inst)
+            assert score == dp_knapsack_oracle(inst)[0]
+            assert score == sum(v * s for v, s in zip(inst.values, selection))
+            assert sum(w * s for w, s in zip(inst.weights[0], selection)) <= inst.capacities[0]
+
     def test_exact_oracle_selection_is_feasible_and_scores(self):
         rng = np.random.default_rng(26)
         for _ in range(10):

@@ -166,6 +166,18 @@ class TestLocalMinima:
                     expected += 1
             assert count_local_minima(q) == expected
 
+    def test_spans_two_blocks(self):
+        # n = 17 takes two blocks of 2**16 assignments; integer coefficients
+        # keep every energy exact, so the flip test below is a strict oracle
+        n = 17
+        q = random_integer_qubo(np.random.default_rng(74), n, density=0.4)
+        e = brute_force_energies(q)
+        idx = np.arange(2**n)
+        minima = np.ones(2**n, dtype=bool)
+        for b in range(n):
+            minima &= e <= e[idx ^ (1 << b)]
+        assert count_local_minima(q) == int(minima.sum())
+
 
 class TestSampleSetSerialization:
     def test_json_shape(self, tmp_path, example_q):
