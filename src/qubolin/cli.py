@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import experiments
 from .errors import LimitError, ParseError
-from .linearize import extract_and_linearize, linearize, save_report
+from .linearize import linearize, save_report
 from .mkp import (
     decode,
     encode_linearized,
@@ -100,9 +100,10 @@ def _cmd_linearize(args) -> int:
                         file=sys.stderr,
                     )
                 return EXIT_VALIDATION
-        q_lin, report = linearize(q, order)
     else:
-        q_lin, order, report = extract_and_linearize(q)
+        # linearize moves terms on coupled pairs only, so their order suffices
+        order = extract_order_sparse(q)
+    q_lin, report = linearize(q, order)
     save_qubo(q_lin, args.out)
     if args.report:
         save_report(report, args.report)
@@ -285,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     lin = sub.add_parser("linearize", help="rewrite ordered positive quadratic terms")
     lin.add_argument("--in", dest="in_path", required=True)
-    lin.add_argument("--order", help="order JSON; omitted = fused extract-and-linearize")
+    lin.add_argument(
+        "--order",
+        help="order JSON; omitted = extract the order of the coupled pairs and linearize in one pass",
+    )
     lin.add_argument("--out", required=True)
     lin.add_argument("--report", help="write removal report JSON here")
     lin.add_argument(

@@ -245,6 +245,8 @@ def mkp_gap(
     come from the instance file or, for single-constraint instances, from
     the exact DP baseline.
     """
+    if not instances:
+        raise ValueError("mkp_gap needs at least one instance")
     cells = list(enumerate(instances))
 
     def run(cell):

@@ -11,7 +11,6 @@ the other bits are.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +38,8 @@ __all__ = [
 # block lets instances with mostly positive scores prune almost immediately,
 # doubling keeps the call count logarithmic for rows that survive, and small
 # remainders are finished in one go.  Block sizes never change the edge set,
-# only the pruning granularity.
+# only the pruning granularity.  The lower bound of sparse extraction reads
+# the same first block of columns.
 _FIRST_CHUNK = 32
 _MAX_CHUNK = 512
 _TAIL_BUDGET = 32768
@@ -102,38 +102,87 @@ def _order_from_scan(n: int, edges: tuple[tuple[int, int], ...]) -> OrderDag:
     return dag
 
 
+def _coupling_rows(q: QuboMatrix, nodes: np.ndarray) -> np.ndarray:
+    """Dense coupling rows of ``nodes``: ``a_vk`` at k != v, zero at k = v."""
+    n = q.n
+    indptr, indices, data = q._csr
+    starts = indptr[nodes]
+    lens = indptr[nodes + 1] - starts
+    pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    rows = np.zeros((nodes.size, n))
+    rows.reshape(-1)[np.repeat(np.arange(0, nodes.size * n, n), lens) + indices[pos]] = data[pos]
+    return rows
+
+
+def _node_groups(q: QuboMatrix, nodes: np.ndarray, pairs: np.ndarray, step: int):
+    """Split ``pairs`` by their variable ``nodes[pairs]`` into groups of at
+    most ``step`` variables, in ascending order of the variable.
+
+    Yields ``(group, rows, loc)``: the group's pairs, the dense coupling rows
+    of its variables and the row of each pair in ``rows``.
+    """
+    distinct, rank = np.unique(nodes[pairs], return_inverse=True)
+    order = np.argsort(rank, kind="stable")
+    bounds = np.searchsorted(rank[order] // step, np.arange((distinct.size + step - 1) // step + 1))
+    for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        group = order[lo:hi]
+        yield pairs[group], _coupling_rows(q, distinct[g * step : (g + 1) * step]), rank[group] - g * step
+
+
 def _pair_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Exact admission scores of the directed pairs ``(src[t], dst[t])``.
 
-    Pairs are taken in blocks.  A block builds the dense coupling rows of
-    the variables it touches, takes the differences ``a_jk - a_ik`` per
-    pair, clears the excluded positions k = i and k = j and sums the
-    positive part.  Time is O(len(src) * n); memory stays within a few
-    ``_SCORE_BLOCK`` budgets.
+    With ``step = _SCORE_BLOCK // n``, pairs are grouped into cells of at
+    most ``step`` sources times ``step`` targets, whose dense coupling rows
+    are built once per cell; a row is thus built about n / step + 1 times
+    rather than once per pair.  A cell is scored in blocks of ``step``
+    pairs: each takes the differences ``a_jk - a_ik`` per pair, clears the
+    excluded positions k = i and k = j and sums the positive part.  Time is
+    O(len(src) * n); memory stays within a few ``_SCORE_BLOCK`` budgets.
     """
     n = q.n
-    indptr, indices, data = q._csr
-    diag = q._diag
-    scores = diag[dst] - diag[src]
+    scores = q._diag[dst] - q._diag[src]
     step = max(1, _SCORE_BLOCK // max(n, 1))
-    # visiting the pairs tile by tile lets a block touch about 2 * sqrt(step)
-    # variables instead of one per pair, which makes building rows cheap
-    tile = math.isqrt(step)
-    visit = np.lexsort((dst // tile, src // tile))
-    for lo in range(0, src.size, step):
-        block = visit[lo : lo + step]
-        s, d = src[block], dst[block]
-        nodes, loc = np.unique(np.concatenate([s, d]), return_inverse=True)
-        starts = indptr[nodes]
-        lens = indptr[nodes + 1] - starts
-        pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        rows = np.zeros((nodes.size, n))
-        rows.reshape(-1)[np.repeat(np.arange(0, nodes.size * n, n), lens) + indices[pos]] = data[pos]
-        diff = rows[loc[s.size :]] - rows[loc[: s.size]]
-        t = np.arange(s.size)
-        diff[t, s] = diff[t, d] = 0.0
-        scores[block] += np.maximum(diff, 0.0).sum(axis=1)
+    src_loc = np.empty(src.size, dtype=np.intp)
+    for by_src, src_rows, loc in _node_groups(q, src, np.arange(src.size), step):
+        src_loc[by_src] = loc
+        for cell, dst_rows, dst_loc in _node_groups(q, dst, by_src, step):
+            for lo in range(0, cell.size, step):
+                block = cell[lo : lo + step]
+                diff = dst_rows[dst_loc[lo : lo + step]] - src_rows[src_loc[block]]
+                t = np.arange(block.size)
+                diff[t, src[block]] = diff[t, dst[block]] = 0.0
+                scores[block] += np.maximum(diff, 0.0, out=diff).sum(axis=1)
     return scores
+
+
+def _first_columns_slab(q: QuboMatrix) -> np.ndarray:
+    """Dense couplings ``a_vk`` of every variable v at the columns
+    k < ``_FIRST_CHUNK``, plus one zero column for the clears of
+    :func:`_first_columns_bound`."""
+    n = q.n
+    w = min(_FIRST_CHUNK, n)
+    indptr, indices, data = q._csr
+    head = np.flatnonzero(indices < w)
+    slab = np.zeros((n, w + 1))
+    slab[np.searchsorted(indptr, head, side="right") - 1, indices[head]] = data[head]
+    return slab
+
+
+def _first_columns_bound(q: QuboMatrix, slab: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Lower bound of :func:`_pair_scores`: the score sum over the columns
+    of ``slab`` alone.
+
+    Each column left out would only add a nonnegative term, so a bound
+    above zero already rejects the pair.
+    """
+    w = slab.shape[1] - 1
+    diff = slab[dst]
+    diff -= slab[src]
+    t = np.arange(src.size)
+    # excluded positions k = i and k = j at or beyond w clear the zero column
+    diff[t, np.minimum(src, w)] = diff[t, np.minimum(dst, w)] = 0.0
+    return q._diag[dst] - q._diag[src] + np.maximum(diff, 0.0, out=diff).sum(axis=1)
 
 
 def score_pair(q: QuboMatrix, i: int, j: int) -> float:
@@ -228,24 +277,37 @@ def extract_order_sparse(q: QuboMatrix) -> OrderDag:
     """Extract a certified order examining only coupled pairs.
 
     Every directed pair ``(i, j)`` joined by a quadratic term that passes
-    the guard ``Q_jj <= Q_ii`` is scored exactly.  The row-major scan's
-    reverse-edge rule then drops ``(i, j)`` with ``j < i`` whenever
-    ``(j, i)`` scored <= 0, and edges come out in row-major order, so the
-    result equals :func:`extract_order_dense` restricted to coupled pairs,
-    in the same sequence.  Time is O(coupled pairs * n); memory is bounded
-    by the scorer's block budget.
+    the guard ``Q_jj <= Q_ii`` gets the first-columns lower bound of its
+    score, chunk by chunk of the couplings; the pairs it does not reject
+    are scored exactly.  The row-major scan's reverse-edge rule then drops
+    ``(i, j)`` with ``j < i`` whenever ``(j, i)`` was admitted too, and
+    edges come out in row-major order, so the result equals
+    :func:`extract_order_dense` restricted to coupled pairs, in the same
+    sequence.  Time is O(coupled pairs * _FIRST_CHUNK + surviving pairs *
+    n).  No n x n array is allocated: beyond the surviving pairs, memory
+    stays within a few ``_SCORE_BLOCK`` budgets.
     """
     n = q.n
-    indptr, dst, _ = q._csr
-    src = np.repeat(np.arange(n), np.diff(indptr))
-    guard = q._diag[dst] <= q._diag[src]
-    src, dst = src[guard], dst[guard]
+    indptr, indices, _ = q._csr
+    slab = _first_columns_slab(q)
+    step = max(1, _SCORE_BLOCK // slab.shape[1])
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, indices.size, step):
+        s = np.searchsorted(indptr, np.arange(lo, min(lo + step, indices.size)), side="right") - 1
+        d = indices[lo : lo + step]
+        guard = q._diag[d] <= q._diag[s]
+        s, d = s[guard], d[guard]
+        alive = _first_columns_bound(q, slab, s, d) <= 0.0
+        src.append(s[alive])
+        dst.append(d[alive])
+    src, dst = np.concatenate(src), np.concatenate(dst)
     admitted = _pair_scores(q, src, dst) <= 0.0
-    # pairs whose reverse was admitted; those with dst < src lost to an earlier row
-    ids = src * n + dst
-    rev = np.intersect1d(ids[admitted], dst * n + src, assume_unique=True, return_indices=True)[2]
-    admitted[rev[dst[rev] < src[rev]]] = False
-    return _order_from_scan(n, tuple(zip(src[admitted].tolist(), dst[admitted].tolist())))
+    src, dst = src[admitted], dst[admitted]
+    # the row-major scan skips (i, j) with j < i once (j, i) is admitted
+    rev = np.intersect1d(src * n + dst, dst * n + src, assume_unique=True, return_indices=True)[1]
+    keep = np.ones(src.size, dtype=bool)
+    keep[rev[dst[rev] < src[rev]]] = False
+    return _order_from_scan(n, tuple(zip(src[keep].tolist(), dst[keep].tolist())))
 
 
 def topological_order(g: OrderDag) -> list[int] | None:

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import LimitError
+
 __all__ = [
     "QuboMatrix",
     "energy",
@@ -28,6 +30,9 @@ __all__ = [
     "load_qubo",
     "save_qubo",
 ]
+
+# Largest dense coefficient matrix that dense_symmetric allocates (n = 11585).
+DENSE_MAX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -100,16 +105,27 @@ class QuboMatrix:
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, indices, data)``: the neighbours ``j`` of ``i``, ascending,
         and their couplings ``a_ij`` at ``indptr[i]:indptr[i + 1]``."""
+        n = self.n
         rows, cols, vals = self._coo
         off = rows != cols
-        r = np.concatenate([rows[off], cols[off]])
-        c = np.concatenate([cols[off], rows[off]])
-        v = np.concatenate([vals[off], vals[off]])
-        perm = np.lexsort((c, r))
-        return np.searchsorted(r[perm], np.arange(self.n + 1)), c[perm], v[perm]
+        i, j = rows[off], cols[off]
+        # row-major keys of both orientations of each coupling, all distinct
+        key = np.concatenate([i * n + j, j * n + i])
+        perm = np.argsort(key)
+        key = key[perm]
+        data = np.concatenate([vals[off], vals[off]])[perm]
+        return np.searchsorted(key, np.arange(n + 1) * n), key % n, data
 
     def dense_symmetric(self) -> np.ndarray:
-        """Dense symmetric coefficient matrix: ``a_ij`` off-diagonal, ``Q_ii`` on it."""
+        """Dense symmetric coefficient matrix: ``a_ij`` off-diagonal, ``Q_ii`` on it.
+
+        Raises :class:`LimitError` before allocating more than ``DENSE_MAX_BYTES``.
+        """
+        size = self.n * self.n * np.dtype(np.float64).itemsize
+        if size > DENSE_MAX_BYTES:
+            raise LimitError(
+                f"dense matrix of n={self.n} needs {size} bytes, over the limit of {DENSE_MAX_BYTES}"
+            )
         a = np.zeros((self.n, self.n), dtype=np.float64)
         rows, cols, vals = self._coo
         a[rows, cols] = vals

@@ -88,7 +88,16 @@ class SampleSet:
 
 
 def default_schedule(q: QuboMatrix, sweeps: int, restarts: int, seed: int) -> AnnealSchedule:
-    """Schedule scaled to the largest coefficient magnitude of the problem."""
+    """Schedule scaled to the largest coefficient magnitude of the problem.
+
+    It ends at beta = 10 / max|Q|, which is cold enough only when the moves
+    that matter cost about max|Q|.  A knapsack encoding violates that: its
+    penalty coefficients exceed the item values by orders of magnitude, so
+    the run never cools (on ``gen mkp --n 100 --m 1 --alpha 0.25 --seed 0``
+    it ends at 2.7e-7).  Pass an explicit schedule there, such as the one
+    ``experiments.mkp_gap`` uses: beta from 0.01 / max|Q| to
+    20 / mean(item values).
+    """
     scale = max((abs(v) for v in q.terms.values()), default=1.0)
     return AnnealSchedule(
         sweeps=sweeps,

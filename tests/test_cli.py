@@ -4,10 +4,25 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qubolin import QuboMatrix, load_qubo, od_count, parse_orlib, save_qubo
+from conftest import random_integer_qubo
+from qubolin import (
+    QuboMatrix,
+    SynthParams,
+    extract_order_dense,
+    generate_hard,
+    generate_synthetic,
+    linearize,
+    load_qubo,
+    od_count,
+    parse_orlib,
+    save_qubo,
+)
+from qubolin import ordering
 from qubolin.cli import build_parser, main
+from qubolin.linearize import save_report
 from qubolin.ordering import OrderDag, save_order
 
 
@@ -66,6 +81,30 @@ class TestPipeline:
         out_path = tmp_path / "lin.json"
         assert main(["linearize", "--in", str(example_file), "--out", str(out_path)]) == 0
         assert load_qubo(out_path) == example_q_linearized
+
+    @pytest.mark.parametrize("block", [ordering._SCORE_BLOCK, 200])
+    def test_fused_writes_the_dense_order_rewrite(self, tmp_path, monkeypatch, block):
+        # n on both sides of the bound's 32 columns; the small scorer block
+        # splits the bound and the exact scoring into many groups and blocks
+        monkeypatch.setattr(ordering, "_SCORE_BLOCK", block)
+        rng = np.random.default_rng(61)
+        instances = [
+            generate_synthetic(SynthParams(n, p, seed=n))
+            for n in (20, 45)
+            for p in (0.1, 0.2, 0.5, 1.0, 1.5, 2.0)
+        ]
+        instances += [generate_hard(n, seed=n) for n in (12, 31, 33, 60)]
+        instances += [random_integer_qubo(rng, n, density=d) for n in (9, 40, 70) for d in (0.1, 0.5, 1.0)]
+        paths = {name: tmp_path / f"{name}.json" for name in ("in", "lin", "report", "lin_ref", "report_ref")}
+        for q in instances:
+            save_qubo(q, paths["in"])
+            assert main(["linearize", "--in", str(paths["in"]), "--out", str(paths["lin"]),
+                         "--report", str(paths["report"])]) == 0
+            q_lin, report = linearize(q, extract_order_dense(q))
+            save_qubo(q_lin, paths["lin_ref"])
+            save_report(report, paths["report_ref"])
+            assert paths["lin"].read_bytes() == paths["lin_ref"].read_bytes()
+            assert paths["report"].read_bytes() == paths["report_ref"].read_bytes()
 
     def test_sparse_order_flag(self, tmp_path, example_file):
         order_path = tmp_path / "order.json"
@@ -157,6 +196,24 @@ class TestMalformedJson:
         )
         assert code == 3
         assert "[0.9, 1.5]" in err and "pair of integers" in err
+
+
+class TestDenseMemoryLimit:
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text('{"n": 60000, "terms": [[0, 1, 1.0]]}')
+        return path
+
+    @pytest.mark.parametrize("argv", [["order"], ["solve", "--method", "sa"]])
+    def test_dense_matrix_over_limit_exits_four(self, tmp_path, capsys, wide_file, argv):
+        assert main([*argv, "--in", str(wide_file), "--out", str(tmp_path / "out.json")]) == 4
+        assert "n=60000 needs 28800000000 bytes" in capsys.readouterr().err
+
+    def test_fused_linearize_allocates_no_dense_matrix(self, tmp_path, wide_file):
+        out = tmp_path / "lin.json"
+        assert main(["linearize", "--in", str(wide_file), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"n": 60000, "terms": [[0, 0, 1.0]]}
 
 
 class TestSolve:
@@ -307,6 +364,14 @@ class TestExperiments:
         out = tmp_path / "exp.csv"
         assert main(["exp", *argv, "--seeds", "0", "--out", str(out)]) == 3
         assert "at least one seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_instances_exits_three(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("0\n")
+        out = tmp_path / "gap.csv"
+        assert main(["exp", "mkp-gap", "--mkp", str(empty), "--out", str(out)]) == 3
+        assert "at least one instance" in capsys.readouterr().err
         assert not out.exists()
 
 

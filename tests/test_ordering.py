@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     qubo_with_symmetric_block,
@@ -10,8 +11,11 @@ from conftest import (
 from qubolin import (
     OrderDag,
     QuboMatrix,
+    SynthParams,
     extract_order_dense,
     extract_order_sparse,
+    generate_hard,
+    generate_synthetic,
     in_ordered_subspace,
     score_pair,
     symmetric_coefficient,
@@ -137,12 +141,32 @@ class TestSparseExtraction:
 
     def test_agrees_with_dense_on_adjacent_pairs(self):
         rng = np.random.default_rng(48)
-        for _ in range(25):
-            q = random_integer_qubo(rng, int(rng.integers(2, 25)), density=0.4)
+        instances = [random_integer_qubo(rng, int(rng.integers(2, 25)), density=0.4) for _ in range(25)]
+        instances += [generate_hard(int(rng.integers(2, 70)), seed=k) for k in range(15)]
+        instances += [
+            generate_synthetic(SynthParams(int(rng.integers(2, 70)), p, seed=k))
+            for k, p in enumerate((0.1, 0.2, 0.5, 1.0, 1.5, 2.0) * 2)
+        ]
+        # interchangeable variables admit both directions of a pair
+        instances += [
+            qubo_with_symmetric_block(rng, n, sorted(rng.choice(n, size=3, replace=False).tolist()))
+            for n in rng.integers(6, 40, size=10).tolist()
+        ]
+        for q in instances:
             adjacent_dense = tuple(
                 (i, j) for i, j in extract_order_dense(q).edges if symmetric_coefficient(q, i, j)
             )
             assert extract_order_sparse(q).edges == adjacent_dense
+
+    @given(st.integers(2, 70), st.floats(0.05, 1.0), st.integers(0, 10_000))
+    def test_first_columns_bound_is_below_exact_score(self, n, density, seed):
+        q = random_integer_qubo(np.random.default_rng(seed), n, density=density)
+        indptr, dst, _ = q._csr
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        guard = q._diag[dst] <= q._diag[src]
+        src, dst = src[guard], dst[guard]
+        bound = ordering._first_columns_bound(q, ordering._first_columns_slab(q), src, dst)
+        assert np.all(bound <= ordering._pair_scores(q, src, dst))
 
     def test_large_sparse_instance(self):
         # genuinely sparse input: the neighbourhood-restricted scan must stay
