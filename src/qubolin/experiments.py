@@ -261,7 +261,7 @@ def mkp_gap(
             )
         base = encode_qubo(inst, lam)
         lin = encode_linearized(inst, lam)
-        scale = max(abs(v) for v in base.qubo.terms.values())
+        scale = float(np.abs(base.qubo.vals).max())
         b0 = beta_start if beta_start is not None else 0.01 / scale
         b1 = beta_end if beta_end is not None else 20.0 / float(np.mean(inst.values))
         out = []

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .ordering import OrderDag, extract_order_dense
-from .qubo import QuboMatrix, _as_assignment, symmetric_coefficient
+from .qubo import QuboMatrix, _as_assignment, _pair_keys
 
 __all__ = [
     "LinearizationReport",
@@ -52,19 +54,18 @@ class LinearizationReport:
         }
 
 
-def _apply_edge(terms: dict[tuple[int, int], float], i: int, j: int) -> float:
-    """Rewrite one edge in place; returns the moved coefficient (0 if none)."""
-    key = (i, j) if i < j else (j, i)
-    c = terms.get(key, 0.0)
-    if c <= 0.0:
-        return 0.0
-    del terms[key]
-    d = terms.get((i, i), 0.0) + c
-    if d == 0.0:
-        terms.pop((i, i), None)
-    else:
-        terms[(i, i)] = d
-    return c
+def _edge_coefficients(q: QuboMatrix, g: OrderDag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(edges, pos, c)``: the edges as an array, the position in ``q`` of
+    each edge's coupling (-1 if uncoupled) and its penalty coefficient, the
+    coupling where it is positive and 0 elsewhere."""
+    if q.n != g.n:
+        raise ValueError(f"order over {g.n} variables does not match QUBO with n={q.n}")
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    pos = q._find_pairs(edges[:, 0], edges[:, 1])
+    c = np.zeros(pos.size)
+    hit = pos >= 0
+    c[hit] = np.maximum(q.vals[pos[hit]], 0.0)
+    return edges, pos, c
 
 
 def linearize(q: QuboMatrix, g: OrderDag) -> tuple[QuboMatrix, LinearizationReport]:
@@ -73,18 +74,27 @@ def linearize(q: QuboMatrix, g: OrderDag) -> tuple[QuboMatrix, LinearizationRepo
     The caller asserts that the order preserves the optimum (either through
     :func:`qubolin.ordering.verify_order` or a problem-specific certificate
     such as the knapsack dominance order); this function does not re-check.
+    An order holds each unordered pair at most once, so every edge moves
+    the coupling it finds in ``q``; the moved coefficients are added to the
+    diagonals in edge order.
     """
-    if q.n != g.n:
-        raise ValueError(f"order over {g.n} variables does not match QUBO with n={q.n}")
-    terms = dict(q.terms)
-    removed: list[tuple[int, int, float]] = []
-    coeffs: dict[tuple[int, int], float] = {}
-    for i, j in g.edges:
-        c = _apply_edge(terms, i, j)
-        coeffs[(i, j)] = c
-        if c > 0.0:
-            removed.append((i, j, c))
-    return QuboMatrix(q.n, terms), LinearizationReport(tuple(removed), coeffs)
+    edges, pos, c = _edge_coefficients(q, g)
+    moved = np.flatnonzero(c)
+    src, cm = edges[moved, 0], c[moved]
+    removed = tuple(zip(src.tolist(), edges[moved, 1].tolist(), cm.tolist()))
+    report = LinearizationReport(removed, dict(zip(g.edges, c.tolist())))
+    if not moved.size:
+        return q, report
+    diag = q._diag.copy()
+    np.add.at(diag, src, cm)
+    keep = q.rows != q.cols
+    keep[pos[moved]] = False
+    rows, cols, vals = q.rows[keep], q.cols[keep], q.vals[keep]
+    on = np.flatnonzero(diag)
+    # a diagonal key (i, i) sorts first among the keys of row i
+    at = np.searchsorted(rows, on)
+    q_lin = QuboMatrix._of(q.n, np.insert(rows, at, on), np.insert(cols, at, on), np.insert(vals, at, diag[on]))
+    return q_lin, report
 
 
 def extract_and_linearize(q: QuboMatrix) -> tuple[QuboMatrix, OrderDag, LinearizationReport]:
@@ -100,31 +110,34 @@ def penalty_value(q: QuboMatrix, g: OrderDag, x: Sequence[int]) -> float:
     Equals ``energy(linearized, x) - energy(q, x)`` exactly; in particular
     it vanishes on every assignment inside the ordered subspace.
     """
-    if q.n != g.n:
-        raise ValueError(f"order over {g.n} variables does not match QUBO with n={q.n}")
+    edges, _, c = _edge_coefficients(q, g)
     arr = _as_assignment(q.n, x)
-    total = 0.0
-    for i, j in g.edges:
-        c = symmetric_coefficient(q, i, j)
-        if c > 0.0:
-            total += c * arr[i] * (1.0 - arr[j])
-    return total
+    return float(c @ (arr[edges[:, 0]] * (1.0 - arr[edges[:, 1]])))
 
 
 def undo_linearization(q_lin: QuboMatrix, report: LinearizationReport) -> QuboMatrix:
     """Reconstruct the original matrix from a linearized one and its report."""
-    terms = dict(q_lin.terms)
-    for i, j, c in report.removed:
-        key = (i, j) if i < j else (j, i)
-        if key in terms:
-            raise ValueError(f"cannot restore ({i}, {j}): cell already occupied")
-        terms[key] = c
-        d = terms.get((i, i), 0.0) - c
-        if d == 0.0:
-            terms.pop((i, i), None)
-        else:
-            terms[(i, i)] = d
-    return QuboMatrix(q_lin.n, terms)
+    if not report.removed:
+        return q_lin
+    i, j, c = (np.array(col) for col in zip(*report.removed))
+    # a cell is occupied if it is stored or an earlier removal restores it
+    occupied = q_lin._find_pairs(i, j) >= 0
+    key = _pair_keys(np.minimum(i, j), np.maximum(i, j))
+    order = np.argsort(key, kind="stable")
+    occupied[order[1:]] |= key[order[1:]] == key[order[:-1]]
+    if occupied.any():
+        a, b, _ = report.removed[int(np.argmax(occupied))]
+        raise ValueError(f"cannot restore ({a}, {b}): cell already occupied")
+    diag = q_lin._diag.copy()
+    np.subtract.at(diag, i, c)
+    on = np.flatnonzero(diag)
+    off = q_lin.rows != q_lin.cols
+    return QuboMatrix.from_arrays(
+        q_lin.n,
+        np.concatenate([q_lin.rows[off], i, on]),
+        np.concatenate([q_lin.cols[off], j, on]),
+        np.concatenate([q_lin.vals[off], c, diag[on]]),
+    )
 
 
 def save_report(report: LinearizationReport, path: str | Path) -> None:

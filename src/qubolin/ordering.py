@@ -19,7 +19,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qubo import QuboMatrix, _as_assignment
+from .errors import LimitError
+from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes
 
 __all__ = [
     "OrderDag",
@@ -72,6 +73,9 @@ class OrderDag:
         bad = np.flatnonzero(((arr < 0) | (arr >= self.n)).any(axis=1))
         if bad.size:
             raise ValueError(f"edge {self.edges[bad[0]]} out of range for n={self.n}")
+        bad = np.flatnonzero((arr >= INDEX_LIMIT).any(axis=1))
+        if bad.size:
+            raise LimitError(f"edge {self.edges[bad[0]]} reaches the index limit of {INDEX_LIMIT}")
         # pair ids over the ranks of the indices, so that they cannot overflow
         rank = np.unique(arr, return_inverse=True)[1].reshape(arr.shape)
         ids = rank[:, 0] * arr.size + rank[:, 1]
@@ -288,6 +292,7 @@ def extract_order_sparse(q: QuboMatrix) -> OrderDag:
     stays within a few ``_SCORE_BLOCK`` budgets.
     """
     n = q.n
+    _check_bytes("first-columns slab", n, 8 * n * (min(_FIRST_CHUNK, n) + 1))
     indptr, indices, _ = q._csr
     slab = _first_columns_slab(q)
     step = max(1, _SCORE_BLOCK // slab.shape[1])

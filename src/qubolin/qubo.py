@@ -1,21 +1,23 @@
 """Sparse upper-triangular QUBO matrices and energy arithmetic.
 
-A problem over ``n`` binary variables is stored as a map from index pairs
-``(i, j)`` with ``i <= j`` to real coefficients.  The objective (energy) of
-an assignment ``x`` is ``sum(Q[i, j] * x[i] * x[j])`` over stored terms, so
-diagonal keys carry the linear part.  All bundled generators emit integer
-coefficients, which keeps float64 arithmetic exact.
+A problem over ``n`` binary variables is stored as three arrays sorted by
+the key ``(i, j)``: the row indices ``rows``, the column indices ``cols``
+with ``i <= j``, and the real coefficients ``vals``.  The objective
+(energy) of an assignment ``x`` is ``sum(Q[i, j] * x[i] * x[j])`` over
+stored terms, so diagonal keys carry the linear part.  All bundled
+generators emit integer coefficients, which keeps float64 arithmetic exact.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,32 +33,131 @@ __all__ = [
     "save_qubo",
 ]
 
-# Largest dense coefficient matrix that dense_symmetric allocates (n = 11585).
+# Largest dense coefficient matrix that dense_symmetric allocates (n = 11585),
+# and largest O(n) array that any other view allocates.
 DENSE_MAX_BYTES = 1 << 30
 
+# Term and edge indices stay below this, so that the pair keys
+# ``i * INDEX_LIMIT + j`` fit in int64.
+INDEX_LIMIT = 1 << 31
 
-@dataclass(frozen=True)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _check_bytes(what: str, n: int, size: int) -> None:
+    """Raise :class:`LimitError` if an array of ``size`` bytes is over ``DENSE_MAX_BYTES``."""
+    if size > DENSE_MAX_BYTES:
+        raise LimitError(f"{what} of n={n} needs {size} bytes, over the limit of {DENSE_MAX_BYTES}")
+
+
+def _pair_keys(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Keys ``i * INDEX_LIMIT + j``, ordered like the pairs ``(i, j)``."""
+    return i * INDEX_LIMIT + j
+
+
+def _column(col, dtype) -> np.ndarray:
+    if isinstance(col, np.ndarray):
+        return col.astype(dtype, copy=False)
+    return np.fromiter(col, dtype, len(col))
+
+
+def _index_column(col) -> np.ndarray:
+    try:
+        return _column(col, np.int64)
+    except OverflowError:
+        # an index beyond int64 is out of range or over the limit; clipped, it stays so
+        return np.array([min(max(v, -1), INDEX_LIMIT) for v in col], dtype=np.int64)
+
+
+def _canonical(n: int, i, j, v, strict: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted ``(rows, cols, vals)`` of the entries ``(i[t], j[t], v[t])``.
+
+    Lower-triangular entries fold into their upper mirror by addition, and
+    entries that fold to exactly zero are dropped.  The same literal key
+    given twice is rejected.  With ``strict`` the entries must already be
+    canonical: a lower-triangular key or a zero is rejected too.  A failure
+    names the first offending entry.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"variable count must be a nonnegative integer, got {n!r}")
+    rows, cols = _index_column(i), _index_column(j)
+    vals = _column(v, np.float64)
+    span = min(n, INDEX_LIMIT)
+    outside = (rows < 0) | (cols < 0) | (rows >= span) | (cols >= span)
+    lit = _pair_keys(np.where(outside, 0, rows), np.where(outside, 0, cols))
+    order = np.argsort(lit, kind="stable")
+    repeat = np.zeros(lit.size, dtype=bool)
+    repeat[order[1:]] = lit[order[1:]] == lit[order[:-1]]
+    bad = outside | repeat | ~np.isfinite(vals)
+    if strict:
+        bad |= (rows > cols) | (vals == 0.0)
+    if bad.any():
+        t = int(np.argmax(bad))
+        a, b, c = i[t], j[t], v[t]
+        if strict and not (0 <= a <= b < n):
+            raise ValueError(f"term key ({a}, {b}) outside canonical upper triangle for n={n}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"index pair ({a}, {b}) out of range for n={n}")
+        if outside[t]:
+            raise LimitError(f"index pair ({a}, {b}) reaches the index limit of {INDEX_LIMIT}")
+        if repeat[t]:
+            raise ValueError(f"duplicate entry for key ({a}, {b})")
+        if not np.isfinite(vals[t]):
+            raise ValueError(f"coefficient at ({a}, {b}) is not finite: {float(c)!r}")
+        raise ValueError(f"explicit zero stored at ({a}, {b}); zeros must be dropped")
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    key = _pair_keys(lo, hi)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    if key.size:
+        # a key holds at most one entry and its mirror; their sum commutes
+        vals = np.add.reduceat(vals[order], first)
+    keep = vals != 0.0
+    return lo[order][first][keep], hi[order][first][keep], vals[keep]
+
+
 class QuboMatrix:
     """Immutable QUBO matrix in canonical upper-triangular form.
 
-    Invariants: every key satisfies ``0 <= i <= j < n``, no stored
-    coefficient is zero, and all coefficients are finite.  Instances are
-    safe to share across threads; all operations on them are pure.
+    ``rows``, ``cols`` (int64) and ``vals`` (float64) are read-only arrays
+    sorted by ``(i, j)``.  Invariants: every key satisfies
+    ``0 <= i <= j < n`` and ``i, j < INDEX_LIMIT``, appears once, and holds
+    a finite nonzero coefficient.  ``QuboMatrix(n, terms)`` takes a mapping
+    of such keys to coefficients.  Instances are safe to share across
+    threads; all operations on them are pure.
     """
 
     n: int
-    terms: dict[tuple[int, int], float] = field(default_factory=dict)
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"variable count must be a nonnegative integer, got {self.n!r}")
-        for (i, j), v in self.terms.items():
-            if not (0 <= i <= j < self.n):
-                raise ValueError(f"term key ({i}, {j}) outside canonical upper triangle for n={self.n}")
-            if not math.isfinite(v):
-                raise ValueError(f"coefficient at ({i}, {j}) is not finite: {v!r}")
-            if v == 0:
-                raise ValueError(f"explicit zero stored at ({i}, {j}); zeros must be dropped")
+    def __init__(self, n: int, terms: Mapping[tuple[int, int], float] | None = None):
+        keys = list(terms or ())
+        arrays = _canonical(
+            n, [k[0] for k in keys], [k[1] for k in keys], [terms[k] for k in keys], strict=True
+        )
+        self._set(n, *arrays)
+
+    def _set(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _of(cls, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "QuboMatrix":
+        """Wrap arrays that already satisfy the invariants, without checks."""
+        q = object.__new__(cls)
+        q._set(n, rows, cols, vals)
+        return q
+
+    @staticmethod
+    def from_arrays(n: int, rows, cols, vals) -> "QuboMatrix":
+        """Build a matrix from parallel arrays of raw ``(i, j, value)`` entries,
+        under the rules of :meth:`from_entries`."""
+        return QuboMatrix._of(n, *_canonical(n, rows, cols, vals))
 
     @staticmethod
     def from_entries(n: int, entries: Iterable[tuple[int, int, float]]) -> "QuboMatrix":
@@ -67,38 +168,43 @@ class QuboMatrix:
         (it almost always indicates a generator bug), and entries that fold
         to exactly zero are dropped.
         """
-        seen: set[tuple[int, int]] = set()
-        acc: dict[tuple[int, int], float] = {}
-        for i, j, v in entries:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"index pair ({i}, {j}) out of range for n={n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate entry for key ({i}, {j})")
-            seen.add((i, j))
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"coefficient at ({i}, {j}) is not finite: {v!r}")
-            key = (i, j) if i <= j else (j, i)
-            acc[key] = acc.get(key, 0.0) + v
-        return QuboMatrix(n, {k: v for k, v in acc.items() if v != 0.0})
+        columns = tuple(zip(*entries)) or ((), (), ())
+        return QuboMatrix.from_arrays(n, *columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuboMatrix is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, QuboMatrix):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.cols, other.cols)
+            and np.array_equal(self.vals, other.vals)
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.rows.tobytes(), self.cols.tobytes(), self.vals.tobytes()))
+
+    def __repr__(self):
+        return f"QuboMatrix(n={self.n}, terms={dict(self.terms)!r})"
 
     # ------------------------------------------------------------------
-    # cached array views (instances are immutable, so caching is safe)
+    # derived views (instances are immutable, so caching is safe)
 
     @cached_property
-    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        keys = list(self.terms)
-        rows = np.fromiter((k[0] for k in keys), dtype=np.intp, count=len(keys))
-        cols = np.fromiter((k[1] for k in keys), dtype=np.intp, count=len(keys))
-        vals = np.fromiter((self.terms[k] for k in keys), dtype=np.float64, count=len(keys))
-        return rows, cols, vals
+    def terms(self) -> Mapping[tuple[int, int], float]:
+        """Read-only ``{(i, j): value}`` mapping in sorted key order, built on first use."""
+        keys = zip(self.rows.tolist(), self.cols.tolist())
+        return MappingProxyType(dict(zip(keys, self.vals.tolist())))
 
     @cached_property
     def _diag(self) -> np.ndarray:
+        _check_bytes("diagonal", self.n, 8 * self.n)
         d = np.zeros(self.n, dtype=np.float64)
-        for (i, j), v in self.terms.items():
-            if i == j:
-                d[i] = v
+        on = self.rows == self.cols
+        d[self.rows[on]] = self.vals[on]
         return d
 
     @cached_property
@@ -106,37 +212,47 @@ class QuboMatrix:
         """``(indptr, indices, data)``: the neighbours ``j`` of ``i``, ascending,
         and their couplings ``a_ij`` at ``indptr[i]:indptr[i + 1]``."""
         n = self.n
-        rows, cols, vals = self._coo
-        off = rows != cols
-        i, j = rows[off], cols[off]
-        # row-major keys of both orientations of each coupling, all distinct
-        key = np.concatenate([i * n + j, j * n + i])
+        _check_bytes("row pointers", n, 8 * (n + 1))
+        off = self.rows != self.cols
+        i, j = self.rows[off], self.cols[off]
+        # pair keys of both orientations of each coupling, all distinct
+        key = np.concatenate([_pair_keys(i, j), _pair_keys(j, i)])
         perm = np.argsort(key)
         key = key[perm]
-        data = np.concatenate([vals[off], vals[off]])[perm]
-        return np.searchsorted(key, np.arange(n + 1) * n), key % n, data
+        data = np.concatenate([self.vals[off], self.vals[off]])[perm]
+        return np.searchsorted(key, _pair_keys(np.arange(n + 1), 0)), key % INDEX_LIMIT, data
 
     def dense_symmetric(self) -> np.ndarray:
         """Dense symmetric coefficient matrix: ``a_ij`` off-diagonal, ``Q_ii`` on it.
 
         Raises :class:`LimitError` before allocating more than ``DENSE_MAX_BYTES``.
         """
-        size = self.n * self.n * np.dtype(np.float64).itemsize
-        if size > DENSE_MAX_BYTES:
-            raise LimitError(
-                f"dense matrix of n={self.n} needs {size} bytes, over the limit of {DENSE_MAX_BYTES}"
-            )
+        _check_bytes("dense matrix", self.n, self.n * self.n * np.dtype(np.float64).itemsize)
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        rows, cols, vals = self._coo
-        a[rows, cols] = vals
-        a[cols, rows] = vals
+        a[self.rows, self.cols] = self.vals
+        a[self.cols, self.rows] = self.vals
         return a
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Ascending pair keys of the stored terms."""
+        return _pair_keys(self.rows, self.cols)
+
+    def _find_pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Position in the arrays of the key of each unordered pair
+        ``{i[t], j[t]}``, or -1 where nothing is stored."""
+        keys = self._keys
+        want = _pair_keys(np.minimum(i, j), np.maximum(i, j))
+        pos = np.searchsorted(keys, want)
+        found = pos < keys.size
+        found[found] = keys[pos[found]] == want[found]
+        return np.where(found, pos, -1)
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "terms": [[i, j, v] for (i, j), v in sorted(self.terms.items())]}
+        return {"n": self.n, "terms": list(zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()))}
 
     @staticmethod
     def from_json_dict(data: dict) -> "QuboMatrix":
@@ -150,17 +266,27 @@ class QuboMatrix:
             raise ValueError(f"'n' must be an integer, got {n!r}")
         if type(raw) is not list:
             raise ValueError(f"'terms' must be a list of [i, j, value] entries, got {raw!r}")
-        entries = []
-        for item in raw:
-            if type(item) is not list or len(item) != 3:
-                raise ValueError(f"term entry must be [i, j, value], got {item!r}")
-            i, j, v = item
-            if type(i) is not int or type(j) is not int:
-                raise ValueError(f"term {item!r}: indices must be integers")
-            if type(v) is not float and (type(v) is not int or abs(v) > sys.float_info.max):
-                raise ValueError(f"term {item!r}: coefficient must be a finite number")
-            entries.append((i, j, v))
-        return QuboMatrix.from_entries(n, entries)
+        # column-wise type tests; on a failure, name the first faulty term
+        i = j = v = []
+        ok = set(map(type, raw)) <= {list} and set(map(len, raw)) <= {3}
+        if ok and raw:
+            i, j, v = (list(map(itemgetter(k), raw)) for k in range(3))
+            value_types = set(map(type, v))
+            ok = (
+                set(map(type, chain(i, j))) == {int}
+                and value_types <= {int, float}
+                and (int not in value_types or all(abs(c) <= _FLOAT_MAX for c in v if type(c) is int))
+            )
+        if not ok:
+            for item in raw:
+                if type(item) is not list or len(item) != 3:
+                    raise ValueError(f"term entry must be [i, j, value], got {item!r}")
+                a, b, c = item
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError(f"term {item!r}: indices must be integers")
+                if type(c) is not float and (type(c) is not int or abs(c) > _FLOAT_MAX):
+                    raise ValueError(f"term {item!r}: coefficient must be a finite number")
+        return QuboMatrix.from_arrays(n, i, j, v)
 
 
 def _as_assignment(n: int, x: Sequence[int]) -> np.ndarray:
@@ -175,15 +301,14 @@ def _as_assignment(n: int, x: Sequence[int]) -> np.ndarray:
 def energy(q: QuboMatrix, x: Sequence[int]) -> float:
     """Objective value ``sum(Q[i, j] * x[i] * x[j])`` of an assignment."""
     arr = _as_assignment(q.n, x)
-    rows, cols, vals = q._coo
-    if len(vals) == 0:
+    if q.vals.size == 0:
         return 0.0
-    return float(vals @ (arr[rows] * arr[cols]))
+    return float(q.vals @ (arr[q.rows] * arr[q.cols]))
 
 
 def od_count(q: QuboMatrix) -> int:
     """Number of stored off-diagonal terms (the quadratic density)."""
-    return sum(1 for i, j in q.terms if i < j)
+    return int(np.count_nonzero(q.rows != q.cols))
 
 
 def flip_delta(q: QuboMatrix, x: Sequence[int], i: int) -> float:
@@ -201,10 +326,10 @@ def symmetric_coefficient(q: QuboMatrix, i: int, j: int) -> float:
     """Coefficient ``a_ij`` of ``x_i * x_j`` in the objective (``Q_ii`` if i == j)."""
     if not (0 <= i < q.n and 0 <= j < q.n):
         raise ValueError(f"index pair ({i}, {j}) out of range for n={q.n}")
-    if i == j:
-        return q.terms.get((i, i), 0.0)
-    key = (i, j) if i < j else (j, i)
-    return q.terms.get(key, 0.0)
+    if max(i, j) >= INDEX_LIMIT:
+        return 0.0
+    t = int(q._find_pairs(np.array([i]), np.array([j]))[0])
+    return float(q.vals[t]) if t >= 0 else 0.0
 
 
 def save_qubo(q: QuboMatrix, path: str | Path) -> None:

@@ -98,7 +98,7 @@ def default_schedule(q: QuboMatrix, sweeps: int, restarts: int, seed: int) -> An
     ``experiments.mkp_gap`` uses: beta from 0.01 / max|Q| to
     20 / mean(item values).
     """
-    scale = max((abs(v) for v in q.terms.values()), default=1.0)
+    scale = float(np.abs(q.vals).max()) if q.vals.size else 1.0
     return AnnealSchedule(
         sweeps=sweeps,
         beta_start=0.01 / scale,

@@ -55,13 +55,12 @@ def generate_synthetic(params: SynthParams) -> QuboMatrix:
     if diag_span < 1:
         raise ValueError(f"p={p} too small for n={n}, s={s}: empty diagonal range")
     rng = np.random.default_rng(params.seed)
-    rows, cols = np.triu_indices(n, k=1)
-    off = rng.integers(1 + o, s + o, size=rows.size, endpoint=True)
-    diag = rng.integers(-diag_span - o, -1 - o, size=n, endpoint=True)
-    terms = {(int(i), int(j)): float(v) for i, j, v in zip(rows, cols, off)}
-    for i in range(n):
-        terms[(i, i)] = float(diag[i])
-    return QuboMatrix(n, terms)
+    rows, cols = np.triu_indices(n)
+    on = rows == cols
+    vals = np.empty(rows.size)
+    vals[~on] = rng.integers(1 + o, s + o, size=rows.size - n, endpoint=True)
+    vals[on] = rng.integers(-diag_span - o, -1 - o, size=n, endpoint=True)
+    return QuboMatrix.from_arrays(n, rows, cols, vals)
 
 
 def generate_hard(n: int, seed: int) -> QuboMatrix:
@@ -71,9 +70,4 @@ def generate_hard(n: int, seed: int) -> QuboMatrix:
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n)
     vals = rng.integers(-1, 1, size=rows.size, endpoint=True)
-    terms = {
-        (int(i), int(j)): float(v)
-        for i, j, v in zip(rows, cols, vals)
-        if v != 0
-    }
-    return QuboMatrix(n, terms)
+    return QuboMatrix.from_arrays(n, rows, cols, vals)

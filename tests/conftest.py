@@ -6,6 +6,7 @@ the production code paths they are used to check.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,55 @@ def reference_score(q: QuboMatrix, i: int, j: int) -> float:
         if k != i and k != j:
             s += max(0.0, a[j, k] - a[i, k])
     return float(s)
+
+
+def reference_from_entries(n: int, entries) -> dict[tuple[int, int], float]:
+    """Literal dict-loop canonicalization of raw ``(i, j, value)`` entries.
+
+    Raises the errors of :meth:`QuboMatrix.from_entries` on the first
+    faulty entry; otherwise returns the folded terms in first-seen order.
+    """
+    seen: set[tuple[int, int]] = set()
+    acc: dict[tuple[int, int], float] = {}
+    for i, j, v in entries:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"index pair ({i}, {j}) out of range for n={n}")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate entry for key ({i}, {j})")
+        seen.add((i, j))
+        v = float(v)
+        if not math.isfinite(v):
+            raise ValueError(f"coefficient at ({i}, {j}) is not finite: {v!r}")
+        key = (i, j) if i <= j else (j, i)
+        acc[key] = acc.get(key, 0.0) + v
+    return {k: v for k, v in acc.items() if v != 0.0}
+
+
+def reference_linearize(q: QuboMatrix, edges):
+    """Literal dict-loop rewrite, one edge at a time.
+
+    Returns ``(terms, removed, edge_coefficients)``: a positive coupling on
+    an edge leaves its cell and is added to the diagonal of the edge source,
+    which is dropped whenever it passes through exactly zero.
+    """
+    terms = dict(q.terms)
+    removed = []
+    coeffs = {}
+    for i, j in edges:
+        key = (i, j) if i < j else (j, i)
+        c = terms.get(key, 0.0)
+        if c <= 0.0:
+            coeffs[(i, j)] = 0.0
+            continue
+        del terms[key]
+        d = terms.get((i, i), 0.0) + c
+        if d == 0.0:
+            terms.pop((i, i), None)
+        else:
+            terms[(i, i)] = d
+        coeffs[(i, j)] = c
+        removed.append((i, j, c))
+    return terms, tuple(removed), coeffs
 
 
 def random_integer_qubo(rng: np.random.Generator, n: int, density: float = 0.5,

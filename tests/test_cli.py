@@ -2,10 +2,12 @@ import csv
 import json
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_integer_qubo
 from qubolin import (
@@ -214,6 +216,113 @@ class TestDenseMemoryLimit:
         out = tmp_path / "lin.json"
         assert main(["linearize", "--in", str(wide_file), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == {"n": 60000, "terms": [[0, 0, 1.0]]}
+
+
+class TestHugeVariableCount:
+    """n beyond any O(n) array: the sparse path stops before allocating."""
+
+    @pytest.mark.parametrize("n", [10**12, 10**30])
+    @pytest.mark.parametrize("argv", [["linearize"], ["order", "--sparse"]])
+    def test_sparse_path_exits_four(self, tmp_path, capsys, n, argv):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": n, "terms": [[0, 1, 1.0]]}))
+        out = tmp_path / "out.json"
+        assert main([*argv, "--in", str(path), "--out", str(out)]) == 4
+        assert f"n={n} needs {8 * n * 33} bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_index_over_the_limit_exits_four(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"n": 10**30, "terms": [[0, 0, 1.0], [1, 2**31, 1.0]]}))
+        assert main(["order", "--sparse", "--in", str(path), "--out", str(tmp_path / "o.json")]) == 4
+        assert "index pair (1, 2147483648) reaches the index limit" in capsys.readouterr().err
+
+    def test_order_edge_over_the_limit_exits_four(self, tmp_path, capsys):
+        qubo_path, order_path = tmp_path / "q.json", tmp_path / "order.json"
+        qubo_path.write_text(json.dumps({"n": 10**30, "terms": [[0, 1, 1.0]]}))
+        order_path.write_text(json.dumps({"n": 10**30, "edges": [[0, 10**20]]}))
+        argv = ["linearize", "--in", str(qubo_path), "--order", str(order_path), "--no-verify"]
+        assert main([*argv, "--out", str(tmp_path / "lin.json")]) == 4
+        assert "edge (0, 100000000000000000000) reaches the index limit" in capsys.readouterr().err
+
+
+class TestNoTermsOnHotPaths:
+    """The CLI commands work on the arrays and never build ``QuboMatrix.terms``."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_terms(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("QuboMatrix.terms built on a hot path")
+
+        monkeypatch.setattr(QuboMatrix, "terms", property(fail))
+
+    def test_order_and_linearize(self, tmp_path):
+        q = generate_synthetic(SynthParams(n=40, p=2.0, seed=3))
+        path, order, out = tmp_path / "q.json", tmp_path / "order.json", tmp_path / "lin.json"
+        save_qubo(q, path)
+        for argv in (
+            ["order", "--in", str(path), "--out", str(order)],
+            ["order", "--sparse", "--in", str(path), "--out", str(order)],
+            ["linearize", "--in", str(path), "--out", str(out), "--report", str(tmp_path / "r.json")],
+            ["linearize", "--in", str(path), "--order", str(order), "--out", str(out)],
+            ["solve", "--in", str(path), "--method", "sa", "--sweeps", "2", "--restarts", "1",
+             "--out", str(tmp_path / "s.json")],
+        ):
+            assert main(argv) == 0
+
+
+# JSON values of every shape the QUBO boundary must survive
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([2**31, 2**63, 10**20, -(10**20), 10**400]), st.text(max_size=3),
+)
+_indices = st.one_of(st.integers(-2, 6), st.booleans(), st.floats(-2, 8), st.sampled_from([2**31, 2**63, 10**20]))
+_coefficients = st.one_of(
+    st.integers(-5, 5), st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([10**400, -(10**309)]),
+    st.booleans(), st.text(max_size=2), st.none(),
+)
+_items = st.one_of(
+    st.tuples(_indices, _indices, _coefficients).map(list),
+    st.lists(_json_scalars, max_size=4),
+    _json_scalars,
+    st.dictionaries(st.text(max_size=2), _json_scalars, max_size=2),
+)
+_counts = st.one_of(
+    st.integers(-2, 7), st.booleans(), st.floats(), st.sampled_from([10**12, 10**30, -(10**30)]), st.text(max_size=2)
+)
+
+
+@st.composite
+def _folding_files(draw):
+    """Valid terms plus literal duplicates and mirror pairs that fold to zero,
+    over a small or a huge variable count."""
+    k = draw(st.integers(1, 6))
+    cell = st.integers(0, k - 1)
+    base = draw(st.lists(st.tuples(cell, cell, st.integers(-4, 4)), max_size=8))
+    terms = [list(t) for t in base]
+    for i, j, v in draw(st.lists(st.sampled_from(base), max_size=3)) if base else ():
+        terms.append([i, j, v] if draw(st.booleans()) else [j, i, -v])
+    n = draw(st.sampled_from([k, k, 10**12, 10**30]))
+    return {"n": n, "terms": draw(st.permutations(terms))}
+
+
+_qubo_json = st.one_of(
+    _folding_files(),
+    st.fixed_dictionaries({"n": _counts, "terms": st.one_of(st.lists(_items, max_size=6), _json_scalars)}),
+    st.dictionaries(st.sampled_from(["n", "terms", "x"]), _json_scalars, max_size=3),
+    st.lists(_json_scalars, max_size=3),
+    _json_scalars,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_qubo_json)
+def test_any_json_ends_in_a_documented_exit_code(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "q.json", Path(tmp) / "out.json"
+        path.write_text(json.dumps(value))
+        for argv in (["order"], ["linearize"], ["solve", "--method", "sa", "--sweeps", "1"]):
+            assert main([*argv, "--in", str(path), "--out", str(out)]) in (0, 2, 3, 4)
 
 
 class TestSolve:

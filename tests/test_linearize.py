@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import exhaustive_minimum, random_integer_qubo
+from conftest import exhaustive_minimum, random_integer_qubo, reference_linearize
 from qubolin import (
     OrderDag,
     QuboMatrix,
@@ -78,6 +78,57 @@ class TestLinearize:
             q = random_integer_qubo(rng, int(rng.integers(2, 20)))
             q_lin, report = linearize(q, extract_order_dense(q))
             assert undo_linearization(q_lin, report) == q
+
+
+@st.composite
+def qubos_with_orders(draw):
+    """``(q, order, integral)``: integer or non-integer coefficients under the
+    extracted order or a random acyclic one."""
+    n = draw(st.integers(2, 9))
+    integral = draw(st.booleans())
+    value = st.integers(-9, 9) if integral else st.floats(-10, 10).map(lambda v: round(v, 3))
+    cell = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(cell, cell, value), max_size=40, unique_by=lambda e: (e[0], e[1])))
+    q = QuboMatrix.from_entries(n, entries)
+    if draw(st.booleans()):
+        return q, extract_order_dense(q), integral
+    rank = draw(st.permutations(range(n)))
+    pairs = st.tuples(cell, cell).filter(lambda p: p[0] != p[1])
+    chosen = draw(st.lists(pairs, max_size=n * 2, unique_by=lambda p: frozenset(p)))
+    # orient every pair along the permutation, so the graph is acyclic
+    edges = tuple((a, b) if rank[a] < rank[b] else (b, a) for a, b in chosen)
+    return q, OrderDag(n, edges), integral
+
+
+class TestDictOracle:
+    """The vectorized rewrite against the literal per-edge dict loop."""
+
+    @given(qubos_with_orders())
+    def test_matches_per_edge_loop(self, case):
+        q, order, integral = case
+        q_lin, report = linearize(q, order)
+        terms, removed, coeffs = reference_linearize(q, order.edges)
+        assert q_lin.terms == terms
+        assert report.removed == removed
+        assert report.edge_coefficients == coeffs
+        # bit-equal diagonals, also where the additions round
+        assert [v.hex() for (i, j), v in q_lin.terms.items() if i == j] == [
+            terms[k].hex() for k in sorted(terms) if k[0] == k[1]
+        ]
+        if integral:
+            assert undo_linearization(q_lin, report) == q
+
+    def test_diagonal_passing_through_zero(self):
+        q = QuboMatrix.from_entries(3, [(0, 0, -2), (0, 1, 2), (0, 2, 3)])
+        q_lin, report = linearize(q, OrderDag(3, ((0, 1), (0, 2))))
+        assert q_lin.terms == reference_linearize(q, ((0, 1), (0, 2)))[0] == {(0, 0): 3.0}
+        assert undo_linearization(q_lin, report) == q
+
+    def test_undo_rejects_an_occupied_cell(self):
+        q = QuboMatrix.from_entries(2, [(0, 1, 2)])
+        _, report = linearize(q, OrderDag(2, ((0, 1),)))
+        with pytest.raises(ValueError, match=r"cannot restore \(0, 1\)"):
+            undo_linearization(q, report)
 
 
 class TestPenaltyValue:

@@ -5,8 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import exhaustive_energy, random_integer_qubo
-from qubolin import QuboMatrix, energy, flip_delta, load_qubo, od_count, save_qubo, symmetric_coefficient
+from conftest import exhaustive_energy, random_integer_qubo, reference_from_entries
+from qubolin import (
+    QuboMatrix,
+    SynthParams,
+    encode_linearized,
+    encode_qubo,
+    energy,
+    flip_delta,
+    generate_hard,
+    generate_mkp,
+    generate_synthetic,
+    load_qubo,
+    od_count,
+    save_qubo,
+    symmetric_coefficient,
+)
 
 
 class TestEnergy:
@@ -196,3 +210,115 @@ class TestSerialization:
         path = tmp_path / "fold.json"
         path.write_text(json.dumps({"n": 2, "terms": [[1, 0, 4], [0, 1, 1]]}))
         assert load_qubo(path).terms == {(0, 1): 5.0}
+
+
+# integer, short decimal and wide float coefficients; the last two make
+# float sums depend on their order
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.floats(-10, 10).map(lambda v: round(v, 3)),
+    st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+
+
+@st.composite
+def raw_entry_lists(draw, faults: bool = False):
+    """``(n, entries)``: lower-triangle keys, mirror pairs and any order; with
+    ``faults`` also out-of-range indices, repeated keys and non-finite values."""
+    n = draw(st.integers(1, 7))
+    lo, hi = (-1, n) if faults else (0, n - 1)
+    values = st.one_of(coefficients, st.sampled_from([math.nan, math.inf, -math.inf])) if faults else coefficients
+    entry = st.tuples(st.integers(lo, hi), st.integers(lo, hi), values)
+    unique = None if faults else (lambda e: (e[0], e[1]))
+    return n, draw(st.lists(entry, max_size=30, unique_by=unique))
+
+
+class TestDictOracle:
+    """The array storage against the literal dict loop it replaced."""
+
+    @given(raw_entry_lists())
+    def test_from_entries_matches_oracle(self, case):
+        n, entries = case
+        q = QuboMatrix.from_entries(n, entries)
+        expected = reference_from_entries(n, entries)
+        assert q.terms == expected
+        assert list(q.terms) == sorted(expected)
+        assert [v.hex() for v in q.terms.values()] == [expected[k].hex() for k in q.terms]
+
+    @given(raw_entry_lists(faults=True))
+    def test_first_fault_matches_oracle(self, case):
+        n, entries = case
+        try:
+            expected = reference_from_entries(n, entries)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                QuboMatrix.from_entries(n, entries)
+            assert str(err.value) == str(exc)
+        else:
+            assert QuboMatrix.from_entries(n, entries).terms == expected
+
+    @given(raw_entry_lists(), st.integers(0, 127))
+    def test_energy_within_rounding_of_term_loop(self, case, mask):
+        # the arrays sum in key order, the loop in its own; both round
+        n, entries = case
+        q = QuboMatrix.from_entries(n, entries)
+        bits = [(mask >> b) & 1 for b in range(n)]
+        bound = len(q.terms) * np.finfo(np.float64).eps * sum(abs(v) for v in q.terms.values())
+        assert abs(energy(q, bits) - exhaustive_energy(q, bits)) <= bound
+
+    @given(raw_entry_lists())
+    def test_json_load_matches_oracle(self, case):
+        n, entries = case
+        data = json.loads(json.dumps({"n": n, "terms": [list(e) for e in entries]}))
+        assert QuboMatrix.from_json_dict(data).terms == reference_from_entries(n, entries)
+
+
+def _sparse_qubo(n: int, seed: int) -> QuboMatrix:
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n, size=3 * n)
+    j = rng.integers(0, n, size=3 * n)
+    keep = i < j
+    pairs = np.unique(np.stack([i[keep], j[keep]], axis=1), axis=0)
+    diag = [(k, k, int(rng.integers(-30, 0))) for k in range(n)]
+    return QuboMatrix.from_entries(n, diag + [(a, b, int(rng.integers(-5, 6)) or 1) for a, b in pairs.tolist()])
+
+
+class TestSaveBytes:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_synthetic(SynthParams(n=40, p=0.5, seed=2)),
+            lambda: generate_hard(60, 4),
+            lambda: _sparse_qubo(300, 5),
+            lambda: encode_qubo(generate_mkp(30, 2, 0.5, seed=1), 0.37).qubo,
+            lambda: encode_linearized(generate_mkp(30, 1, 0.25, seed=3), 1.0).qubo,
+        ],
+        ids=["synth", "hard", "sparse", "mkp", "mkp-linearized"],
+    )
+    def test_load_save_is_byte_identical(self, tmp_path, make):
+        q = make()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_qubo(q, first)
+        save_qubo(load_qubo(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        # the writer's format: sorted keys, floats by repr
+        terms = [[i, j, v] for (i, j), v in sorted(q.terms.items())]
+        assert first.read_text() == json.dumps({"n": q.n, "terms": terms}) + "\n"
+
+
+class TestValueSemantics:
+    def test_equal_and_hashed_by_contents(self):
+        a = QuboMatrix.from_entries(3, [(2, 2, -1), (1, 0, 2)])
+        b = QuboMatrix(3, {(2, 2): -1.0, (0, 1): 2.0})
+        assert a == b and hash(a) == hash(b)
+        assert a != QuboMatrix(4, {(2, 2): -1.0, (0, 1): 2.0})
+        assert list(b.terms) == [(0, 1), (2, 2)]
+
+    def test_immutable(self):
+        q = QuboMatrix(3, {(0, 1): 2.0})
+        with pytest.raises(TypeError):
+            q.terms[(0, 0)] = 1.0
+        with pytest.raises(AttributeError):
+            q.n = 4
+        with pytest.raises(ValueError):
+            q.vals[0] = 5.0
