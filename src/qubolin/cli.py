@@ -246,6 +246,13 @@ def _cmd_exp_mkp_gap(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every ``--seed``: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qubolin",
@@ -260,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     g_synth.add_argument("--n", type=int, required=True)
     g_synth.add_argument("--s", type=int, default=10)
     g_synth.add_argument("--p", type=float, required=True)
-    g_synth.add_argument("--seed", type=int, required=True)
+    g_synth.add_argument("--seed", type=_seed, required=True)
     g_synth.add_argument("--out", required=True)
     g_synth.set_defaults(func=_cmd_gen_synth)
 
     g_hard = gen_sub.add_parser("hard", help="QUBO with i.i.d. entries from {-1, 0, 1}")
     g_hard.add_argument("--n", type=int, required=True)
-    g_hard.add_argument("--seed", type=int, required=True)
+    g_hard.add_argument("--seed", type=_seed, required=True)
     g_hard.add_argument("--out", required=True)
     g_hard.set_defaults(func=_cmd_gen_hard)
 
@@ -274,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_mkp.add_argument("--n", type=int, required=True)
     g_mkp.add_argument("--m", type=int, required=True)
     g_mkp.add_argument("--alpha", type=float, required=True)
-    g_mkp.add_argument("--seed", type=int, required=True)
+    g_mkp.add_argument("--seed", type=_seed, required=True)
     g_mkp.add_argument("--out", required=True)
     g_mkp.set_defaults(func=_cmd_gen_mkp)
 
@@ -313,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=["sa", "brute"], required=True)
     solve.add_argument("--sweeps", type=int, default=1000)
     solve.add_argument("--restarts", type=int, default=10)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=_seed, default=0)
     solve.add_argument("--beta-start", type=float)
     solve.add_argument("--beta-end", type=float)
     solve.add_argument("--out", required=True)
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     e_g.add_argument("--lambda", dest="lam", type=float, default=1.0)
     e_g.add_argument("--sweeps", type=int, default=300)
     e_g.add_argument("--restarts", type=int, default=50)
-    e_g.add_argument("--seed", type=int, default=0)
+    e_g.add_argument("--seed", type=_seed, default=0)
     e_g.add_argument("--beta-start", type=float)
     e_g.add_argument("--beta-end", type=float)
     e_g.add_argument("--out", required=True)

@@ -2,9 +2,7 @@
 
 Each harness returns plain row dictionaries ready for CSV emission plus a
 manifest payload that pins every parameter and seed, so any row can be
-regenerated bit-identically.  Grids fan out over a thread pool capped by
-the ``QUBOLIN_THREADS`` environment variable; per-cell work is
-single-threaded and rows come back in grid order regardless of completion
+regenerated bit-identically.  Grid cells run one after another, in grid
 order.
 """
 
@@ -12,9 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -54,25 +50,6 @@ MKP_GAP_FIELDS = [
 ]
 
 
-def _max_workers(cells: int) -> int:
-    env = os.environ.get("QUBOLIN_THREADS")
-    if not env:
-        cap = os.cpu_count() or 1
-    elif env.isascii() and env.isdigit() and int(env) > 0:
-        cap = int(env)
-    else:
-        raise ValueError(f"QUBOLIN_THREADS must be a positive integer, got {env!r}")
-    return max(1, min(cap, cells))
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    workers = _max_workers(len(items))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ----------------------------------------------------------------------
 # off-diagonal reduction
 
@@ -86,30 +63,28 @@ def od_reduction(
     """
     if not seeds:
         raise ValueError("od_reduction needs at least one seed")
-    cells = [(p, seed) for p in p_grid for seed in seeds]
-
-    def run(cell):
-        p, seed = cell
-        t0 = time.perf_counter()
-        q = generate_synthetic(SynthParams(n=n, p=p, seed=seed, s=s))
-        order = extract_order_dense(q)
-        q_lin, report = linearize(q, order)
-        before = od_count(q)
-        after = od_count(q_lin)
-        row = {
-            "p": p,
-            "seed": seed,
-            "n": n,
-            "edges": len(order),
-            "od_before": before,
-            "od_after": after,
-            "reduction_pct": (before - after) / before * 100.0 if before else 0.0,
-        }
-        return row, time.perf_counter() - t0
-
-    results = _parallel_map(run, cells)
-    rows = [row for row, _ in results]
-    wall = {f"p={p},seed={seed}": sec for (p, seed), (_, sec) in zip(cells, results)}
+    rows = []
+    wall = {}
+    for p in p_grid:
+        for seed in seeds:
+            t0 = time.perf_counter()
+            q = generate_synthetic(SynthParams(n=n, p=p, seed=seed, s=s))
+            order = extract_order_dense(q)
+            q_lin, report = linearize(q, order)
+            before = od_count(q)
+            after = od_count(q_lin)
+            rows.append(
+                {
+                    "p": p,
+                    "seed": seed,
+                    "n": n,
+                    "edges": len(order),
+                    "od_before": before,
+                    "od_after": after,
+                    "reduction_pct": (before - after) / before * 100.0 if before else 0.0,
+                }
+            )
+            wall[f"p={p},seed={seed}"] = time.perf_counter() - t0
     for p in p_grid:
         group = [r for r in rows if r["p"] == p]
         rows.append(
@@ -247,10 +222,8 @@ def mkp_gap(
     """
     if not instances:
         raise ValueError("mkp_gap needs at least one instance")
-    cells = list(enumerate(instances))
-
-    def run(cell):
-        idx, (name, inst) = cell
+    rows = []
+    for idx, (name, inst) in enumerate(instances):
         if inst.best_known is not None:
             s_best = inst.best_known
         elif inst.m == 1:
@@ -264,7 +237,6 @@ def mkp_gap(
         scale = float(np.abs(base.qubo.vals).max())
         b0 = beta_start if beta_start is not None else 0.01 / scale
         b1 = beta_end if beta_end is not None else 20.0 / float(np.mean(inst.values))
-        out = []
         for method, enc in (("baseline", base), ("linearized", lin)):
             schedule = AnnealSchedule(
                 sweeps=sweeps, beta_start=b0, beta_end=b1, restarts=restarts, seed=seed + idx
@@ -273,7 +245,7 @@ def mkp_gap(
             decoded = [decode(enc, bits, inst) for bits, _ in result.samples]
             feasible = [d for d in decoded if d.feasible]
             best_obj = max((d.objective for d in feasible), default=None)
-            out.append(
+            rows.append(
                 {
                     "instance": name,
                     "n": inst.n,
@@ -292,10 +264,6 @@ def mkp_gap(
                     ),
                 }
             )
-        return out
-
-    results = _parallel_map(run, cells)
-    rows = [row for pair in results for row in pair]
     manifest = {
         "experiment": "mkp_gap",
         "instances": [name for name, _ in instances],

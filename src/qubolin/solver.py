@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LimitError
-from .qubo import QuboMatrix, energy
+from .qubo import DENSE_MAX_BYTES, QuboMatrix, energy
 
 __all__ = [
     "AnnealSchedule",
@@ -51,6 +51,11 @@ class AnnealSchedule:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if 8 * self.sweeps > DENSE_MAX_BYTES:
+            raise LimitError(f"sweeps={self.sweeps} needs {8 * self.sweeps} bytes of betas, "
+                             f"over the limit of {DENSE_MAX_BYTES}")
         if not (0.0 < self.beta_start <= self.beta_end):
             raise ValueError(
                 f"need 0 < beta_start <= beta_end, got {self.beta_start}, {self.beta_end}"
@@ -200,22 +205,28 @@ def minimum_assignments(q: QuboMatrix) -> list[tuple[int, ...]]:
 # simulated annealing
 
 
-def _anneal_one(a: np.ndarray, diag: np.ndarray, betas: np.ndarray, rng) -> np.ndarray:
+def _anneal_one(a: np.ndarray, diag: np.ndarray, betas: np.ndarray, rng) -> list[float]:
     n = diag.shape[0]
-    x = rng.integers(0, 2, size=n).astype(np.float64)
-    g = a @ x
-    for beta in betas:
-        order = rng.permutation(n)
-        us = rng.random(n)
-        for pos in range(n):
-            i = order[pos]
-            # a has a zeroed diagonal here, so g_i = sum_{j != i} a_ij x_j
-            fld = diag[i] + g[i]
-            delta = (1.0 - 2.0 * x[i]) * fld
-            if delta <= 0.0 or us[pos] < math.exp(-beta * delta):
-                sign = 1.0 - 2.0 * x[i]
-                g += sign * a[i]
-                x[i] = 1.0 - x[i]
+    x0 = rng.integers(0, 2, size=n).astype(np.float64)
+    g = a @ x0
+    x, d, rows, exp = x0.tolist(), diag.tolist(), list(a), math.exp
+    for beta in betas.tolist():
+        nb = -beta
+        order = rng.permutation(n).tolist()
+        us = rng.random(n).tolist()
+        for i, u in zip(order, us):
+            # a has a zeroed diagonal here, so g_i = sum_{j != i} a_ij x_j;
+            # delta = (1 - 2 x_i) * (d_i + g_i), the sign taken by the branch
+            if x[i]:
+                delta = -(d[i] + g.item(i))
+                if delta <= 0.0 or u < exp(nb * delta):
+                    g -= rows[i]
+                    x[i] = 0.0
+            else:
+                delta = d[i] + g.item(i)
+                if delta <= 0.0 or u < exp(nb * delta):
+                    g += rows[i]
+                    x[i] = 1.0
     return x
 
 
@@ -223,8 +234,12 @@ def simulated_anneal(q: QuboMatrix, schedule: AnnealSchedule) -> SampleSet:
     """Metropolis single-bit-flip annealing; one sample per restart.
 
     Each restart draws its own generator from ``(seed, restart)``, so a
-    restart's sample does not depend on the number of restarts before it.
-    Sample energies are recomputed from scratch before being recorded.
+    restart's sample does not depend on the number of restarts before it:
+    a random start, then per sweep one visiting order and one uniform per
+    visit.  The flip loop runs on Python floats and keeps the local fields
+    ``g = A x`` (off-diagonal part) in one array, adding or subtracting a
+    row of ``A`` on each accepted flip.  Sample energies are recomputed
+    from scratch before being recorded.
     """
     a = q.dense_symmetric()
     diag = a.diagonal().copy()

@@ -142,6 +142,31 @@ def reference_linearize(q: QuboMatrix, edges):
     return terms, tuple(removed), coeffs
 
 
+def reference_anneal_one(a: np.ndarray, diag: np.ndarray, betas: np.ndarray, rng) -> np.ndarray:
+    """Literal numpy-scalar Metropolis loop: one restart of ``simulated_anneal``.
+
+    ``a`` is the symmetric matrix with its diagonal zeroed and ``diag`` the
+    diagonal; the draws are one start, then per sweep one permutation and
+    one array of uniforms.
+    """
+    n = diag.shape[0]
+    x = rng.integers(0, 2, size=n).astype(np.float64)
+    g = a @ x
+    for beta in betas:
+        order = rng.permutation(n)
+        us = rng.random(n)
+        for pos in range(n):
+            i = order[pos]
+            # a has a zeroed diagonal here, so g_i = sum_{j != i} a_ij x_j
+            fld = diag[i] + g[i]
+            delta = (1.0 - 2.0 * x[i]) * fld
+            if delta <= 0.0 or us[pos] < math.exp(-beta * delta):
+                sign = 1.0 - 2.0 * x[i]
+                g += sign * a[i]
+                x[i] = 1.0 - x[i]
+    return x
+
+
 def random_integer_qubo(rng: np.random.Generator, n: int, density: float = 0.5,
                         low: int = -10, high: int = 10) -> QuboMatrix:
     """Random sparse integer matrix in canonical form."""

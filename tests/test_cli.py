@@ -64,6 +64,22 @@ class TestGen:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "synth", "--n", "5", "--p", "1.0"],
+    ["gen", "hard", "--n", "5"],
+    ["gen", "mkp", "--n", "5", "--m", "1", "--alpha", "0.5"],
+    ["solve", "--in", "q.json", "--method", "sa"],
+    ["exp", "mkp-gap", "--mkp", "inst.txt"],
+])
+def test_negative_seed_names_the_flag(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "-1", "--out", str(out)])
+    assert err.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPipeline:
     def test_order_then_linearize_reproduces_rewrite(self, tmp_path, example_file,
                                                      example_q_linearized):
@@ -372,6 +388,14 @@ class TestSolve:
         assert not out.exists()
 
 
+    def test_huge_sweeps_exits_four(self, tmp_path, example_file, capsys):
+        out = tmp_path / "samples.json"
+        assert main(["solve", "--in", str(example_file), "--method", "sa",
+                     "--sweeps", "1000000000000", "--out", str(out)]) == 4
+        assert "sweeps=1000000000000 needs 8000000000000 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEncodeDecode:
     def test_encode_solve_decode_round_trip(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.txt"
@@ -473,6 +497,16 @@ class TestExperiments:
         out = tmp_path / "exp.csv"
         assert main(["exp", *argv, "--seeds", "0", "--out", str(out)]) == 3
         assert "at least one seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_sweeps_exits_four(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.txt"
+        main(["gen", "mkp", "--n", "10", "--m", "1", "--alpha", "0.5",
+              "--seed", "3", "--out", str(inst_path)])
+        out = tmp_path / "gap.csv"
+        assert main(["exp", "mkp-gap", "--mkp", str(inst_path), "--sweeps", "1000000000000",
+                     "--out", str(out)]) == 4
+        assert "sweeps=1000000000000 needs 8000000000000 bytes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_instances_exits_three(self, tmp_path, capsys):

@@ -158,16 +158,3 @@ class TestCsv:
         rows, _ = mkp_gap([("t", inst)], lam=18.0, sweeps=10, restarts=2, seed=0)
         assert set(rows[0]) == set(MKP_GAP_FIELDS)
 
-
-class TestThreadCap:
-    def test_env_cap_preserves_results(self, monkeypatch):
-        baseline, _ = od_reduction(20, 10, [0.5, 1.0], [0, 1])
-        monkeypatch.setenv("QUBOLIN_THREADS", "1")
-        serial, _ = od_reduction(20, 10, [0.5, 1.0], [0, 1])
-        assert baseline == serial
-
-    @pytest.mark.parametrize("value", ["abc", "-4"])
-    def test_rejects_non_positive_integer(self, monkeypatch, value):
-        monkeypatch.setenv("QUBOLIN_THREADS", value)
-        with pytest.raises(ValueError, match=f"QUBOLIN_THREADS.*'{value}'"):
-            od_reduction(10, 10, [0.5], [0])

@@ -2,16 +2,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import exhaustive_minimum, random_integer_qubo
+from conftest import exhaustive_minimum, random_integer_qubo, reference_anneal_one
 from qubolin import (
     AnnealSchedule,
     LimitError,
     QuboMatrix,
+    SampleSet,
     brute_force,
     count_local_minima,
     default_schedule,
+    encode_linearized,
+    encode_qubo,
     energy,
+    generate_mkp,
     simulated_anneal,
 )
 from qubolin.solver import brute_force_energies, minimum_assignments, save_sampleset
@@ -119,12 +124,84 @@ class TestSimulatedAnneal:
         assert energies[result.best] == min(energies)
 
 
+def reference_sampleset(q: QuboMatrix, schedule: AnnealSchedule) -> SampleSet:
+    """What ``simulated_anneal`` returns, computed with the literal loop."""
+    a = q.dense_symmetric()
+    diag = a.diagonal().copy()
+    np.fill_diagonal(a, 0.0)
+    samples = []
+    for r in range(schedule.restarts):
+        x = reference_anneal_one(a, diag, schedule.betas(), np.random.default_rng((schedule.seed, r)))
+        bits = tuple(int(b) for b in x)
+        samples.append((bits, energy(q, bits)))
+    return SampleSet(tuple(samples), min(range(len(samples)), key=lambda k: samples[k][1]))
+
+
+def assert_matches_reference(q: QuboMatrix, schedule: AnnealSchedule):
+    # equal bits, energies and best index
+    assert simulated_anneal(q, schedule) == reference_sampleset(q, schedule)
+
+
+@st.composite
+def anneal_cases(draw):
+    """A small QUBO, integer or not, dense or diagonal-only, and a schedule
+    that is either a ramp or the greedy limit of equal, huge betas."""
+    n = draw(st.integers(0, 7))
+    value = draw(st.sampled_from([st.integers(-3, 3), st.floats(-5, 5, allow_subnormal=False)]))
+    diagonal_only = draw(st.booleans())
+    cells = [(i, j) for i in range(n) for j in range(i, n) if not diagonal_only or i == j]
+    q = QuboMatrix.from_entries(n, [(i, j, draw(value)) for i, j in cells])
+    if draw(st.booleans()):
+        b0 = b1 = 1e6
+    else:
+        b0 = draw(st.floats(1e-3, 10.0))
+        b1 = b0 * draw(st.floats(1.0, 1e3))
+    schedule = AnnealSchedule(sweeps=draw(st.integers(1, 12)), beta_start=b0, beta_end=b1,
+                              restarts=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)))
+    return q, schedule
+
+
+class TestAnnealOracle:
+    """``simulated_anneal`` draws and flips exactly like the numpy-scalar loop
+    in ``conftest.reference_anneal_one``: bit-identical samples, energies and
+    best index."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(anneal_cases())
+    def test_random_grid(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("q", [
+        QuboMatrix(0, {}),
+        QuboMatrix.from_entries(1, [(0, 0, -1.5)]),
+        QuboMatrix.from_entries(2, [(0, 0, 3), (0, 1, -4), (1, 1, 2)]),
+        QuboMatrix.from_entries(4, [(0, 0, -2.25), (1, 1, 0.5), (3, 3, 7)]),
+        # every flip of the zero matrix has delta 0.0 or -0.0
+        QuboMatrix(3, {}),
+        # x_1 = 1 puts the field of x_0 at exactly 0.0
+        QuboMatrix.from_entries(3, [(0, 0, -2), (0, 1, 2), (1, 1, 1), (1, 2, -1), (2, 2, 1)]),
+    ])
+    @pytest.mark.parametrize("sweeps, b0, b1", [(1, 0.5, 0.5), (9, 1e6, 1e6), (25, 0.01, 5.0)])
+    def test_edge_cases(self, q, sweeps, b0, b1):
+        assert_matches_reference(q, AnnealSchedule(sweeps, b0, b1, restarts=4, seed=7))
+
+    @pytest.mark.parametrize("encode", [encode_qubo, encode_linearized])
+    def test_mkp_encodings(self, encode):
+        # the mkp-anneal benchmark's first instance and schedule, at 20 sweeps
+        inst = generate_mkp(100, 1, 0.25, 100)
+        b0 = 0.01 / float(np.abs(encode_qubo(inst, 1.0).qubo.vals).max())
+        b1 = 20.0 / float(np.mean(inst.values))
+        schedule = AnnealSchedule(sweeps=20, beta_start=b0, beta_end=b1, restarts=10, seed=100)
+        assert_matches_reference(encode(inst, 1.0).qubo, schedule)
+
+
 class TestSchedule:
     @pytest.mark.parametrize("kwargs", [
         {"sweeps": 0, "beta_start": 0.1, "beta_end": 1.0},
         {"sweeps": 5, "beta_start": 0.0, "beta_end": 1.0},
         {"sweeps": 5, "beta_start": 2.0, "beta_end": 1.0},
         {"sweeps": 5, "beta_start": 0.1, "beta_end": 1.0, "restarts": 0},
+        {"sweeps": 5, "beta_start": 0.1, "beta_end": 1.0, "seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
