@@ -35,13 +35,10 @@ class LinearizationReport:
 
     ``removed`` lists ``(i, j, c)`` per rewritten term, oriented along the
     edge: coefficient ``c`` left the off-diagonal cell of the unordered pair
-    ``{i, j}`` and was added to the diagonal of ``i``.  ``edge_coefficients``
-    records the penalty coefficient of every edge, zero for edges whose
-    quadratic term was absent or not positive.
+    ``{i, j}`` and was added to the diagonal of ``i``.
     """
 
     removed: tuple[tuple[int, int, float], ...]
-    edge_coefficients: dict[tuple[int, int], float]
 
     @property
     def removed_count(self) -> int:
@@ -81,8 +78,7 @@ def linearize(q: QuboMatrix, g: OrderDag) -> tuple[QuboMatrix, LinearizationRepo
     edges, pos, c = _edge_coefficients(q, g)
     moved = np.flatnonzero(c)
     src, cm = edges[moved, 0], c[moved]
-    removed = tuple(zip(src.tolist(), edges[moved, 1].tolist(), cm.tolist()))
-    report = LinearizationReport(removed, dict(zip(g.edges, c.tolist())))
+    report = LinearizationReport(tuple(zip(src.tolist(), edges[moved, 1].tolist(), cm.tolist())))
     if not moved.size:
         return q, report
     diag = q._diag.copy()

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import LimitError, ParseError
 from .linearize import linearize
 from .ordering import OrderDag
-from .qubo import QuboMatrix, _as_assignment
+from .qubo import QuboMatrix, _as_assignment, _check_bytes
 from .solver import _bit_rows, _index_bits
 
 __all__ = [
@@ -230,6 +230,7 @@ def generate_mkp(n: int, m: int, alpha: float, seed: int) -> MkpInstance:
         raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"tightness must lie in (0, 1), got alpha={alpha}")
+    _check_bytes(f"weights of m={m} constraints", n, 8 * m * n)
     rng = np.random.default_rng(seed)
     w = rng.integers(1, 1000, size=(m, n), endpoint=True)
     caps = [math.floor(alpha * int(w[k].sum())) for k in range(m)]
@@ -278,30 +279,29 @@ def encode_qubo(inst: MkpInstance, lam: float) -> QuboEncoding:
     constraint.  Decision pairs i < j carry coefficient
     ``2 * lam * sum_k w_ki * w_kj``.
     """
-    if lam <= 0:
-        raise ValueError(f"penalty coefficient must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"penalty coefficient lambda must be positive and finite, got {lam}")
     blocks = slack_blocks(inst)
-    n_total = blocks[-1].offset + blocks[-1].bits
-    terms: dict[tuple[int, int], float] = {}
     w = inst._w
-    for i in range(inst.n):
-        terms[(i, i)] = float(-inst.values[i] + lam * int((w[:, i] ** 2).sum()))
+    dec = np.arange(inst.n)
+    # the decision and slack diagonals take Python arithmetic, exact on an integer lam
+    rows, cols = [dec], [dec]
+    vals = [np.array([float(-v + lam * s) for v, s in zip(inst.values, (w**2).sum(axis=0).tolist())])]
     for block in blocks:
-        k = block.constraint
-        for t, st in enumerate(block.weights):
-            yt = block.offset + t
-            terms[(yt, yt)] = float(lam * st * st)
-            for u in range(t + 1, block.bits):
-                terms[(yt, block.offset + u)] = float(2.0 * lam * st * block.weights[u])
-            for i in range(inst.n):
-                terms[(i, yt)] = float(-2.0 * lam * int(w[k, i]) * st)
-    cross = 2.0 * lam * (w.T.astype(np.float64) @ w.astype(np.float64))
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            terms[(i, j)] = float(cross[i, j])
-    terms = {k: v for k, v in terms.items() if v != 0.0}
+        st = np.array(block.weights, dtype=np.float64)
+        y = block.offset + np.arange(block.bits)
+        t, u = np.triu_indices(block.bits, 1)
+        rows += [y, y[t], np.repeat(dec, block.bits)]
+        cols += [y, y[u], np.tile(y, inst.n)]
+        vals += [np.array([float(lam * s * s) for s in block.weights]), 2.0 * lam * st[t] * st[u],
+                 np.outer(-2.0 * lam * w[block.constraint], st).ravel()]
+    i, j = np.triu_indices(inst.n, 1)
+    rows.append(i)
+    cols.append(j)
+    vals.append((2.0 * lam * (w.T.astype(np.float64) @ w.astype(np.float64)))[i, j])
+    qubo = QuboMatrix.from_arrays(blocks[-1].offset + blocks[-1].bits, *map(np.concatenate, (rows, cols, vals)))
     return QuboEncoding(
-        qubo=QuboMatrix(n_total, terms),
+        qubo=qubo,
         layout=blocks,
         lam=float(lam),
         linearized=False,

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import LimitError
-from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes
+from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes, _pair_keys
 
 __all__ = [
     "OrderDag",
@@ -76,16 +76,12 @@ class OrderDag:
         bad = np.flatnonzero((arr >= INDEX_LIMIT).any(axis=1))
         if bad.size:
             raise LimitError(f"edge {self.edges[bad[0]]} reaches the index limit of {INDEX_LIMIT}")
-        # pair ids over the ranks of the indices, so that they cannot overflow
-        rank = np.unique(arr, return_inverse=True)[1].reshape(arr.shape)
-        ids = rank[:, 0] * arr.size + rank[:, 1]
+        ids = _pair_keys(src, dst)
         srt = np.argsort(ids, kind="stable")
         bad = srt[1:][ids[srt[1:]] == ids[srt[:-1]]]
         if bad.size:
             raise ValueError(f"duplicate edge {self.edges[bad.min()]}")
-        # np.isin would import numpy.ma (about 2 MiB) through a plain np.unique
-        rev = rank[:, 1] * arr.size + rank[:, 0]
-        bad = np.intersect1d(ids, rev, assume_unique=True, return_indices=True)[2]
+        bad = _reversed_pairs(src, dst)
         if bad.size:
             raise ValueError(f"edge {self.edges[bad.min()]} present together with its reverse")
 
@@ -97,12 +93,24 @@ class OrderDag:
         return len(self.edges)
 
 
-def _order_from_scan(n: int, edges: tuple[tuple[int, int], ...]) -> OrderDag:
-    """Construct without re-validation; the row-major scan cannot emit
-    self-loops, duplicates, out-of-range indices or reverse pairs."""
+def _reversed_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Positions t of the distinct pairs ``(src[t], dst[t])`` whose reverse
+    ``(dst[t], src[t])`` is among them too."""
+    # np.isin would import numpy.ma (about 2 MiB) through a plain np.unique
+    return np.intersect1d(_pair_keys(src, dst), _pair_keys(dst, src), assume_unique=True, return_indices=True)[1]
+
+
+def _scan_order(n: int, src: np.ndarray, dst: np.ndarray) -> OrderDag:
+    """The order of the admitted pairs ``(src[t], dst[t])``, given row-major,
+    after the scan's reverse-edge rule: ``(i, j)`` with ``j < i`` goes when
+    ``(j, i)`` is admitted too.  No score depends on another edge, so the
+    rule can follow the scoring, and it leaves nothing to re-validate."""
+    rev = _reversed_pairs(src, dst)
+    keep = np.ones(src.size, dtype=bool)
+    keep[rev[dst[rev] < src[rev]]] = False
     dag = object.__new__(OrderDag)
     object.__setattr__(dag, "n", n)
-    object.__setattr__(dag, "edges", edges)
+    object.__setattr__(dag, "edges", tuple(zip(src[keep].tolist(), dst[keep].tolist())))
     return dag
 
 
@@ -206,10 +214,9 @@ def _admitted_rows(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
     """Row-by-row engine behind dense extraction.
 
     Yields ``(i, admitted)`` where ``admitted`` holds the ascending targets j
-    of all edges ``(i, j)`` admitted with outer index i.  Rows are mutually
-    independent given the edges of earlier rows, which makes the inner work
-    vectorizable over j without changing the sequential edge set: the
-    reverse-edge exclusion can only ever be triggered by an earlier row.
+    of all pairs ``(i, j)`` that pass the guard ``Q_jj <= Q_ii`` and score
+    <= 0.  Rows are mutually independent, which makes the inner work
+    vectorizable over j; the reverse-edge rule is left to :func:`_scan_order`.
 
     Scores accumulate over k in blocks.  Each block adds a nonnegative
     amount, and the two excluded positions k = i and k = j are discounted up
@@ -221,11 +228,9 @@ def _admitted_rows(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
         return
     a = q.dense_symmetric()
     diag = a.diagonal().copy()
-    incoming = np.zeros((n, n), dtype=bool)  # incoming[dst, src] = edge (src, dst)
     for i in range(n):
         mask = diag <= diag[i]
         mask[i] = False
-        mask &= ~incoming[i]
         cand = np.flatnonzero(mask)
         if cand.size == 0:
             continue
@@ -257,7 +262,6 @@ def _admitted_rows(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
             lo = hi
             width = min(width * 2, _MAX_CHUNK)
         if alive.size:
-            incoming[alive, i] = True
             yield i, alive
 
 
@@ -270,11 +274,11 @@ def extract_order_dense(q: QuboMatrix) -> OrderDag:
     mutually symmetric variables this yields the deterministic total order
     with edges pointing from lower to higher index.
     """
-    edges: list[tuple[int, int]] = []
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for i, admitted in _admitted_rows(q):
-        targets = admitted.tolist()
-        edges.extend(zip([i] * len(targets), targets))
-    return _order_from_scan(q.n, tuple(edges))
+        src.append(np.full(admitted.size, i))
+        dst.append(admitted)
+    return _scan_order(q.n, np.concatenate(src), np.concatenate(dst))
 
 
 def extract_order_sparse(q: QuboMatrix) -> OrderDag:
@@ -307,16 +311,13 @@ def extract_order_sparse(q: QuboMatrix) -> OrderDag:
         dst.append(d[alive])
     src, dst = np.concatenate(src), np.concatenate(dst)
     admitted = _pair_scores(q, src, dst) <= 0.0
-    src, dst = src[admitted], dst[admitted]
-    # the row-major scan skips (i, j) with j < i once (j, i) is admitted
-    rev = np.intersect1d(src * n + dst, dst * n + src, assume_unique=True, return_indices=True)[1]
-    keep = np.ones(src.size, dtype=bool)
-    keep[rev[dst[rev] < src[rev]]] = False
-    return _order_from_scan(n, tuple(zip(src[keep].tolist(), dst[keep].tolist())))
+    return _scan_order(n, src[admitted], dst[admitted])
 
 
 def topological_order(g: OrderDag) -> list[int] | None:
     """A topological sort of the graph, or None if it contains a cycle."""
+    # in-degrees, adjacency lists (an empty list takes 56 bytes) and the result
+    _check_bytes("topological sort", g.n, 80 * g.n)
     indeg = [0] * g.n
     out: list[list[int]] = [[] for _ in range(g.n)]
     for i, j in g.edges:

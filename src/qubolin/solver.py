@@ -56,6 +56,8 @@ class AnnealSchedule:
         if 8 * self.sweeps > DENSE_MAX_BYTES:
             raise LimitError(f"sweeps={self.sweeps} needs {8 * self.sweeps} bytes of betas, "
                              f"over the limit of {DENSE_MAX_BYTES}")
+        if not (math.isfinite(self.beta_start) and math.isfinite(self.beta_end)):
+            raise ValueError(f"betas must be finite, got beta_start={self.beta_start}, beta_end={self.beta_end}")
         if not (0.0 < self.beta_start <= self.beta_end):
             raise ValueError(
                 f"need 0 < beta_start <= beta_end, got {self.beta_start}, {self.beta_end}"

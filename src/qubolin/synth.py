@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboMatrix
+from .qubo import QuboMatrix, _check_bytes
 
 __all__ = ["SynthParams", "generate_synthetic", "generate_hard"]
 
@@ -46,10 +46,15 @@ def generate_synthetic(params: SynthParams) -> QuboMatrix:
     n, s, p = params.n, params.s, params.p
     if n < 2:
         raise ValueError(f"need at least 2 variables, got n={n}")
-    if s < 1:
-        raise ValueError(f"scale must be a positive integer, got s={s}")
-    if p <= 0:
-        raise ValueError(f"propensity must be positive, got p={p}")
+    if not 1 <= s < 2**53:
+        raise ValueError(f"scale must be a positive integer below 2**53, got s={s}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"propensity must be positive and finite, got p={p}")
+    _check_bytes("term arrays", n, 24 * (n * (n + 1) // 2))
+    # float64 holds every integer below 2**53; compared in floats, where an
+    # overflow reads inf instead of raising in round or floor
+    if s * p + max(s, p * (n - 1) * (s + 1)) >= 2**53:
+        raise ValueError(f"coefficients of n={n}, s={s}, p={p} reach 2**53")
     o = params.offset
     diag_span = math.floor(p * (n - 1) * (s + 1))
     if diag_span < 1:
@@ -67,6 +72,7 @@ def generate_hard(n: int, seed: int) -> QuboMatrix:
     """Matrix with every upper-triangle entry (diagonal included) i.i.d. uniform on {-1, 0, 1}."""
     if n < 2:
         raise ValueError(f"need at least 2 variables, got n={n}")
+    _check_bytes("term arrays", n, 24 * (n * (n + 1) // 2))
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n)
     vals = rng.integers(-1, 1, size=rows.size, endpoint=True)

@@ -142,6 +142,36 @@ def reference_linearize(q: QuboMatrix, edges):
     return terms, tuple(removed), coeffs
 
 
+def reference_encode_qubo(inst, lam) -> dict[tuple[int, int], float]:
+    """Literal dict loop of the knapsack penalty encoding.
+
+    Returns the nonzero terms of ``-sum v_i x_i + lam * sum_k (w_k . x -
+    slack_k)**2`` in insertion order: decision diagonals, then per slack bit
+    its diagonal, its pairs with later bits of its block and its decision
+    pairs, then the decision pairs.
+    """
+    from qubolin.mkp import slack_blocks
+
+    terms: dict[tuple[int, int], float] = {}
+    w = np.array(inst.weights, dtype=np.int64)
+    for i in range(inst.n):
+        terms[(i, i)] = float(-inst.values[i] + lam * int((w[:, i] ** 2).sum()))
+    for block in slack_blocks(inst):
+        k = block.constraint
+        for t, st in enumerate(block.weights):
+            yt = block.offset + t
+            terms[(yt, yt)] = float(lam * st * st)
+            for u in range(t + 1, block.bits):
+                terms[(yt, block.offset + u)] = float(2.0 * lam * st * block.weights[u])
+            for i in range(inst.n):
+                terms[(i, yt)] = float(-2.0 * lam * int(w[k, i]) * st)
+    cross = 2.0 * lam * (w.T.astype(np.float64) @ w.astype(np.float64))
+    for i in range(inst.n):
+        for j in range(i + 1, inst.n):
+            terms[(i, j)] = float(cross[i, j])
+    return {k: v for k, v in terms.items() if v != 0.0}
+
+
 def reference_anneal_one(a: np.ndarray, diag: np.ndarray, betas: np.ndarray, rng) -> np.ndarray:
     """Literal numpy-scalar Metropolis loop: one restart of ``simulated_anneal``.
 

@@ -261,16 +261,65 @@ class TestHugeVariableCount:
         assert main([*argv, "--out", str(tmp_path / "lin.json")]) == 4
         assert "edge (0, 100000000000000000000) reaches the index limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, what", [([], "topological sort"), (["--no-verify"], "diagonal")])
+    def test_order_over_huge_n_exits_four(self, tmp_path, capsys, flag, what):
+        qubo_path, order_path = tmp_path / "q.json", tmp_path / "order.json"
+        qubo_path.write_text(json.dumps({"n": 10**12, "terms": [[0, 1, 1.0]]}))
+        order_path.write_text(json.dumps({"n": 10**12, "edges": [[0, 1]]}))
+        out = tmp_path / "lin.json"
+        assert main(["linearize", "--in", str(qubo_path), "--order", str(order_path), *flag, "--out", str(out)]) == 4
+        assert f"{what} of n={10**12} needs" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "synth", "--n", "1000000", "--p", "2.0", "--seed", "0"],
+     "term arrays of n=1000000 needs 12000012000000 bytes"),
+    (["gen", "hard", "--n", "1000000", "--seed", "0"], "term arrays of n=1000000 needs"),
+    (["exp", "od-reduction", "--n", "1000000", "--p-grid", "2.0", "--seeds", "1"], "term arrays of n=1000000 needs"),
+    (["gen", "mkp", "--n", str(10**12), "--m", "1", "--alpha", "0.5", "--seed", "0"],
+     f"weights of m=1 constraints of n={10**12} needs {8 * 10**12} bytes"),
+])
+def test_generator_over_the_limit_exits_four(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "synth", "--n", "10", "--p", "inf", "--seed", "0"], "p=inf"),
+    (["gen", "synth", "--n", "10", "--p", "1e308", "--seed", "0"], "p=1e+308 reach 2**53"),
+    (["gen", "synth", "--n", "10", "--p", "1e17", "--seed", "0"], "p=1e+17 reach 2**53"),
+    (["gen", "synth", "--n", "10", "--p", "2.0", "--s", str(10**22), "--seed", "0"], f"s={10**22}"),
+    (["exp", "od-reduction", "--n", "10", "--p-grid", "inf", "--seeds", "1"], "p=inf"),
+    (["exp", "od-reduction", "--n", "10", "--p-grid", "nan", "--seeds", "1"], "p=nan"),
+    (["encode", "--mkp", "{mkp}", "--lambda", "nan"], "lambda must be positive and finite, got nan"),
+    (["exp", "mkp-gap", "--mkp", "{mkp}", "--lambda", "inf"], "lambda must be positive and finite, got inf"),
+    (["solve", "--in", "{qubo}", "--method", "sa", "--beta-start", "1", "--beta-end", "inf"], "beta_end=inf"),
+    (["solve", "--in", "{qubo}", "--method", "sa", "--beta-start", "nan", "--beta-end", "1"], "beta_start=nan"),
+])
+def test_non_finite_or_oversized_parameter_exits_three(tmp_path, capsys, example_q, argv, message):
+    mkp, qubo, out = tmp_path / "inst.txt", tmp_path / "q.json", tmp_path / "out"
+    mkp.write_text("1\n2 1 0\n5 7\n3 4\n5\n")
+    save_qubo(example_q, qubo)
+    argv = [a.format(mkp=mkp, qubo=qubo) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestNoTermsOnHotPaths:
-    """The CLI commands work on the arrays and never build ``QuboMatrix.terms``."""
+    """The CLI commands work on the arrays: they never build ``QuboMatrix.terms``
+    and never build a matrix from a tuple-keyed dict."""
 
     @pytest.fixture(autouse=True)
     def forbid_terms(self, monkeypatch):
-        def fail(self):
-            raise AssertionError("QuboMatrix.terms built on a hot path")
+        def fail(self, *args):
+            raise AssertionError("QuboMatrix.terms or QuboMatrix(n, terms) on a hot path")
 
         monkeypatch.setattr(QuboMatrix, "terms", property(fail))
+        monkeypatch.setattr(QuboMatrix, "__init__", fail)
 
     def test_order_and_linearize(self, tmp_path):
         q = generate_synthetic(SynthParams(n=40, p=2.0, seed=3))
@@ -283,6 +332,17 @@ class TestNoTermsOnHotPaths:
             ["linearize", "--in", str(path), "--order", str(order), "--out", str(out)],
             ["solve", "--in", str(path), "--method", "sa", "--sweeps", "2", "--restarts", "1",
              "--out", str(tmp_path / "s.json")],
+        ):
+            assert main(argv) == 0
+
+    @pytest.mark.parametrize("flag", [[], ["--linearize"]])
+    def test_encode_solve_decode(self, tmp_path, flag):
+        inst, enc, samples = tmp_path / "inst.txt", tmp_path / "enc.json", tmp_path / "s.json"
+        for argv in (
+            ["gen", "mkp", "--n", "12", "--m", "2", "--alpha", "0.5", "--seed", "1", "--out", str(inst)],
+            ["encode", "--mkp", str(inst), "--lambda", "0.37", *flag, "--out", str(enc)],
+            ["solve", "--in", str(enc), "--method", "sa", "--sweeps", "2", "--restarts", "2", "--out", str(samples)],
+            ["decode", "--mkp", str(inst), "--lambda", "0.37", *flag, "--samples", str(samples)],
         ):
             assert main(argv) == 0
 

@@ -17,7 +17,7 @@ from qubolin import (
     od_count,
     penalty_value,
 )
-from qubolin.linearize import undo_linearization
+from qubolin.linearize import _edge_coefficients, undo_linearization
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ class TestLinearize:
         q_lin, report = linearize(q, OrderDag(2, ((0, 1),)))
         assert q_lin == q
         assert report.removed_count == 0
-        assert report.edge_coefficients[(0, 1)] == 0
+        assert _edge_coefficients(q, OrderDag(2, ((0, 1),)))[2].tolist() == [0.0]
 
     def test_edge_against_lower_stored_orientation(self):
         # edge (1, 0): the positive coefficient lives at canonical key (0, 1)
@@ -110,7 +110,7 @@ class TestDictOracle:
         terms, removed, coeffs = reference_linearize(q, order.edges)
         assert q_lin.terms == terms
         assert report.removed == removed
-        assert report.edge_coefficients == coeffs
+        assert dict(zip(order.edges, _edge_coefficients(q, order)[2].tolist())) == coeffs
         # bit-equal diagonals, also where the additions round
         assert [v.hex() for (i, j), v in q_lin.terms.items() if i == j] == [
             terms[k].hex() for k in sorted(terms) if k[0] == k[1]

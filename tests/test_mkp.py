@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from conftest import reference_encode_qubo
 from qubolin import (
     LimitError,
     MkpInstance,
@@ -199,8 +201,32 @@ class TestEncoding:
     def test_invalid_lambda(self):
         inst = MkpInstance((5,), ((3,),), (5,))
         for encoder in (encode_qubo, encode_linearized):
-            with pytest.raises(ValueError):
-                encoder(inst, 0.0)
+            for lam in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="lambda"):
+                    encoder(inst, lam)
+
+    @given(
+        st.integers(1, 8).flatmap(lambda n: st.tuples(
+            st.lists(st.integers(1, 1000), min_size=n, max_size=n),
+            st.lists(st.lists(st.integers(1, 1000), min_size=n, max_size=n), min_size=1, max_size=3),
+            st.floats(0.05, 1.0),
+        )),
+        st.one_of(
+            st.sampled_from([1.0, 0.37, 0.5, 3, 3.0, 1e-3]),
+            st.floats(1e-6, 1e6),
+            st.integers(1, 10**12),
+        ),
+    )
+    # an integer lam past 2**53 tells exact integer arithmetic from float arithmetic
+    @example(([7, 5], [[3, 9], [4, 1]], 0.5), 2**53 + 1)
+    def test_matches_dict_loop(self, case, lam):
+        values, weights, alpha = case
+        caps = tuple(max(1, int(alpha * sum(row))) for row in weights)
+        inst = MkpInstance(tuple(values), tuple(map(tuple, weights)), caps)
+        q = encode_qubo(inst, lam).qubo
+        terms = reference_encode_qubo(inst, lam)
+        assert list(zip(q.rows.tolist(), q.cols.tolist())) == sorted(terms)
+        assert [v.hex() for v in q.vals.tolist()] == [terms[k].hex() for k in sorted(terms)]
 
 
 class TestDominanceOrder:

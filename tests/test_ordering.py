@@ -91,6 +91,22 @@ class TestDenseExtraction:
             q = random_integer_qubo(rng, n, density=float(rng.uniform(0.2, 1.0)))
             assert extract_order_dense(q).edges == reference_extraction(q)
 
+    def test_matches_scalar_reference_on_tied_diagonals(self):
+        # tied diagonals let both orientations of a pair pass the guard, which
+        # is where the reverse-edge rule drops the later one
+        rng = np.random.default_rng(47)
+        instances = [generate_hard(int(rng.integers(2, 30)), seed=k) for k in range(20)]
+        for _ in range(20):
+            n = int(rng.integers(3, 25))
+            block = sorted(rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)), replace=False).tolist())
+            instances.append(qubo_with_symmetric_block(rng, n, block))
+        fired = 0
+        for q in instances:
+            edges = extract_order_dense(q).edges
+            assert edges == reference_extraction(q)
+            fired += any(score_pair(q, j, i) <= 0 for i, j in edges)
+        assert fired >= 20
+
     def test_symmetric_block_gets_complete_total_order(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
@@ -254,6 +270,14 @@ class TestOrderDag:
             OrderDag(80, edges + ((1, 0),))
         with pytest.raises(ValueError, match="duplicate"):
             OrderDag(80, edges + ((0, 1),))
+
+    def test_indices_at_the_limit(self):
+        top = ordering.INDEX_LIMIT - 1
+        OrderDag(top + 1, ((top, 0), (0, 1), (1, top)))
+        with pytest.raises(ValueError, match=rf"edge \({top}, 0\) present together with its reverse"):
+            OrderDag(top + 1, ((0, 1), (top, 0), (0, top)))
+        with pytest.raises(ValueError, match=rf"duplicate edge \(0, {top}\)"):
+            OrderDag(top + 1, ((0, top), (top, 1), (0, top)))
 
 
 class TestOrderedSubspace:
