@@ -192,9 +192,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_exp_od(args) -> int:
-    p_grid = [float(tok) for tok in args.p_grid.split(",")]
     seeds = list(range(args.seeds))
-    rows, manifest = experiments.od_reduction(args.n, args.s, p_grid, seeds)
+    rows, manifest = experiments.od_reduction(args.n, args.s, args.p_grid, seeds)
     experiments.write_csv(rows, experiments.OD_REDUCTION_FIELDS, args.out)
     experiments.write_manifest(manifest, Path(args.out).with_suffix(".manifest.json"))
     for row in rows:
@@ -204,7 +203,7 @@ def _cmd_exp_od(args) -> int:
 
 
 def _cmd_exp_timing(args) -> int:
-    ns = [int(tok) for tok in args.n_list.split(",")]
+    ns = args.n_list
     classes = args.classes.split(",")
     rows, fits = experiments.run_timing(ns, classes, list(range(args.seeds)), repeats=args.repeats)
     experiments.write_csv(rows, experiments.TIMING_FIELDS, args.out)
@@ -251,6 +250,18 @@ def _seed(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _list_of(convert, what: str):
+    """The argparse type of a comma-separated list of ``what``, each read by ``convert``."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be comma-separated {what}, got {text!r}") from None
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     e_od = exp_sub.add_parser("od-reduction", help="off-diagonal reduction grid")
     e_od.add_argument("--n", type=int, default=180)
     e_od.add_argument("--s", type=int, default=10)
-    e_od.add_argument("--p-grid", default="0.1,0.2,0.5,1.0,1.5,2.0")
+    e_od.add_argument("--p-grid", type=_list_of(float, "numbers"), default="0.1,0.2,0.5,1.0,1.5,2.0")
     e_od.add_argument("--seeds", type=int, default=10, help="use seeds 0..N-1")
     e_od.add_argument("--out", required=True)
     e_od.set_defaults(func=_cmd_exp_od)
 
     e_t = exp_sub.add_parser("timing", help="extraction runtime scaling")
-    e_t.add_argument("--n-list", default="100,200,400,800")
+    e_t.add_argument("--n-list", type=_list_of(int, "integers"), default="100,200,400,800")
     e_t.add_argument("--classes", default="p=2.0,hard")
     e_t.add_argument("--seeds", type=int, default=5)
     e_t.add_argument("--repeats", type=int, default=3)

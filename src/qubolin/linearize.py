@@ -51,18 +51,17 @@ class LinearizationReport:
         }
 
 
-def _edge_coefficients(q: QuboMatrix, g: OrderDag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(edges, pos, c)``: the edges as an array, the position in ``q`` of
-    each edge's coupling (-1 if uncoupled) and its penalty coefficient, the
-    coupling where it is positive and 0 elsewhere."""
+def _edge_coefficients(q: QuboMatrix, g: OrderDag) -> tuple[np.ndarray, np.ndarray]:
+    """``(pos, c)``: the position in ``q`` of each edge's coupling (-1 if
+    uncoupled) and its penalty coefficient, the coupling where it is
+    positive and 0 elsewhere."""
     if q.n != g.n:
         raise ValueError(f"order over {g.n} variables does not match QUBO with n={q.n}")
-    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    pos = q._find_pairs(edges[:, 0], edges[:, 1])
+    pos = q._find_pairs(g.edges[:, 0], g.edges[:, 1])
     c = np.zeros(pos.size)
     hit = pos >= 0
     c[hit] = np.maximum(q.vals[pos[hit]], 0.0)
-    return edges, pos, c
+    return pos, c
 
 
 def linearize(q: QuboMatrix, g: OrderDag) -> tuple[QuboMatrix, LinearizationReport]:
@@ -75,10 +74,10 @@ def linearize(q: QuboMatrix, g: OrderDag) -> tuple[QuboMatrix, LinearizationRepo
     the coupling it finds in ``q``; the moved coefficients are added to the
     diagonals in edge order.
     """
-    edges, pos, c = _edge_coefficients(q, g)
+    pos, c = _edge_coefficients(q, g)
     moved = np.flatnonzero(c)
-    src, cm = edges[moved, 0], c[moved]
-    report = LinearizationReport(tuple(zip(src.tolist(), edges[moved, 1].tolist(), cm.tolist())))
+    src, cm = g.edges[moved, 0], c[moved]
+    report = LinearizationReport(tuple(zip(src.tolist(), g.edges[moved, 1].tolist(), cm.tolist())))
     if not moved.size:
         return q, report
     diag = q._diag.copy()
@@ -106,9 +105,9 @@ def penalty_value(q: QuboMatrix, g: OrderDag, x: Sequence[int]) -> float:
     Equals ``energy(linearized, x) - energy(q, x)`` exactly; in particular
     it vanishes on every assignment inside the ordered subspace.
     """
-    edges, _, c = _edge_coefficients(q, g)
+    _, c = _edge_coefficients(q, g)
     arr = _as_assignment(q.n, x)
-    return float(c @ (arr[edges[:, 0]] * (1.0 - arr[edges[:, 1]])))
+    return float(c @ (arr[g.edges[:, 0]] * (1.0 - arr[g.edges[:, 1]])))
 
 
 def undo_linearization(q_lin: QuboMatrix, report: LinearizationReport) -> QuboMatrix:

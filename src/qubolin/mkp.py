@@ -47,6 +47,10 @@ __all__ = [
 
 DP_CELL_LIMIT = 200_000_000
 EXACT_ORACLE_MAX_N = 24
+# values and weights stay below ITEM_LIMIT and capacities below CAPACITY_LIMIT,
+# so squared weights, loads, objectives and excesses all fit in int64
+ITEM_LIMIT = 1 << 31
+CAPACITY_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,16 @@ class MkpInstance:
         for row in self.weights:
             if len(row) != len(self.values):
                 raise ValueError("weight rows must have one entry per item")
-        if any(v < 1 for v in self.values):
-            raise ValueError("values must be >= 1")
-        if any(w < 1 for row in self.weights for w in row):
-            raise ValueError("weights must be >= 1")
-        if any(c < 1 for c in self.capacities):
-            raise ValueError("capacities must be >= 1")
+        for i, v in enumerate(self.values):
+            if not 1 <= v < ITEM_LIMIT:
+                raise ValueError(f"value of item {i} is {v}, outside 1..{ITEM_LIMIT - 1}")
+        for k, row in enumerate(self.weights):
+            for i, w in enumerate(row):
+                if not 1 <= w < ITEM_LIMIT:
+                    raise ValueError(f"weight ({k}, {i}) is {w}, outside 1..{ITEM_LIMIT - 1}")
+        for k, c in enumerate(self.capacities):
+            if not 1 <= c < CAPACITY_LIMIT:
+                raise ValueError(f"capacity {k} is {c}, outside 1..{CAPACITY_LIMIT - 1}")
 
     @property
     def n(self) -> int:
@@ -284,9 +292,11 @@ def encode_qubo(inst: MkpInstance, lam: float) -> QuboEncoding:
     blocks = slack_blocks(inst)
     w = inst._w
     dec = np.arange(inst.n)
-    # the decision and slack diagonals take Python arithmetic, exact on an integer lam
+    # the decision and slack diagonals take Python arithmetic, exact on an integer lam;
+    # a sum of m squared weights may pass 2**63
+    sq = [sum(x * x for x in col) for col in zip(*inst.weights)]
     rows, cols = [dec], [dec]
-    vals = [np.array([float(-v + lam * s) for v, s in zip(inst.values, (w**2).sum(axis=0).tolist())])]
+    vals = [np.array([float(-v + lam * s) for v, s in zip(inst.values, sq)])]
     for block in blocks:
         st = np.array(block.weights, dtype=np.float64)
         y = block.offset + np.arange(block.bits)
@@ -327,9 +337,7 @@ def extract_mkp_order(inst: MkpInstance) -> OrderDag:
     lower = np.tril(np.ones_like(dominated, dtype=bool))
     keep = dominated & ~(tied & lower)
     np.fill_diagonal(keep, False)
-    rows, cols = np.nonzero(keep)
-    edges = tuple((int(i), int(j)) for i, j in zip(rows, cols))
-    return OrderDag(inst.n, edges)
+    return OrderDag(inst.n, np.argwhere(keep))
 
 
 def encode_linearized(inst: MkpInstance, lam: float) -> QuboEncoding:

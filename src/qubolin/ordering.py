@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -50,44 +49,52 @@ _TAIL_BUDGET = 32768
 _SCORE_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderDag:
     """Directed precedence graph over ``n`` variables.
 
-    Edge ``(i, j)`` means "x_i = 1 implies x_j = 1".  Construction rejects
-    self-loops, out-of-range indices, duplicates and two-cycles; acyclicity
-    beyond that is checked by :func:`verify_order`, not here, so orders read
-    from untrusted files stay representable.
+    Edge ``(i, j)`` means "x_i = 1 implies x_j = 1"; ``edges`` is a read-only
+    ``(m, 2)`` int64 array, built from pairs of Python ints or an integer
+    array.  Construction rejects other entries, self-loops, out-of-range
+    indices, duplicates and two-cycles; acyclicity beyond that is checked by
+    :func:`verify_order`, not here, so orders read from untrusted files stay
+    representable.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
-        # indices beyond int64 give an object array, which the range check rejects
+        if not isinstance(self.edges, np.ndarray):
+            # exact type tests, as in QuboMatrix.from_json_dict
+            for e in self.edges:
+                if type(e) not in (tuple, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+                    raise ValueError(f"edge entry must be a pair of integers (i, j), got {e!r}")
+        elif self.edges.size and self.edges.dtype.kind not in "iu":
+            raise ValueError(f"edge array must hold integers, got dtype {self.edges.dtype}")
+        # indices beyond int64 give an object array, which the range checks reject
         arr = np.array(self.edges).reshape(-1, 2)
-        src, dst = arr[:, 0], arr[:, 1]
-        bad = np.flatnonzero(src == dst)
+        bad = np.flatnonzero(arr[:, 0] == arr[:, 1])
         if bad.size:
-            raise ValueError(f"self-loop edge {self.edges[bad[0]]}")
+            raise ValueError(f"self-loop edge {tuple(arr[bad[0]].tolist())}")
         bad = np.flatnonzero(((arr < 0) | (arr >= self.n)).any(axis=1))
         if bad.size:
-            raise ValueError(f"edge {self.edges[bad[0]]} out of range for n={self.n}")
+            raise ValueError(f"edge {tuple(arr[bad[0]].tolist())} out of range for n={self.n}")
         bad = np.flatnonzero((arr >= INDEX_LIMIT).any(axis=1))
         if bad.size:
-            raise LimitError(f"edge {self.edges[bad[0]]} reaches the index limit of {INDEX_LIMIT}")
+            raise LimitError(f"edge {tuple(arr[bad[0]].tolist())} reaches the index limit of {INDEX_LIMIT}")
+        arr = arr.astype(np.int64, copy=False)
+        src, dst = arr[:, 0], arr[:, 1]
         ids = _pair_keys(src, dst)
         srt = np.argsort(ids, kind="stable")
         bad = srt[1:][ids[srt[1:]] == ids[srt[:-1]]]
         if bad.size:
-            raise ValueError(f"duplicate edge {self.edges[bad.min()]}")
+            raise ValueError(f"duplicate edge {tuple(arr[bad.min()].tolist())}")
         bad = _reversed_pairs(src, dst)
         if bad.size:
-            raise ValueError(f"edge {self.edges[bad.min()]} present together with its reverse")
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
+            raise ValueError(f"edge {tuple(arr[bad.min()].tolist())} present together with its reverse")
+        arr.flags.writeable = False
+        object.__setattr__(self, "edges", arr)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -104,14 +111,11 @@ def _scan_order(n: int, src: np.ndarray, dst: np.ndarray) -> OrderDag:
     """The order of the admitted pairs ``(src[t], dst[t])``, given row-major,
     after the scan's reverse-edge rule: ``(i, j)`` with ``j < i`` goes when
     ``(j, i)`` is admitted too.  No score depends on another edge, so the
-    rule can follow the scoring, and it leaves nothing to re-validate."""
+    rule can follow the scoring."""
     rev = _reversed_pairs(src, dst)
     keep = np.ones(src.size, dtype=bool)
     keep[rev[dst[rev] < src[rev]]] = False
-    dag = object.__new__(OrderDag)
-    object.__setattr__(dag, "n", n)
-    object.__setattr__(dag, "edges", tuple(zip(src[keep].tolist(), dst[keep].tolist())))
-    return dag
+    return OrderDag(n, np.stack([src[keep], dst[keep]], axis=1))
 
 
 def _coupling_rows(q: QuboMatrix, nodes: np.ndarray) -> np.ndarray:
@@ -320,7 +324,7 @@ def topological_order(g: OrderDag) -> list[int] | None:
     _check_bytes("topological sort", g.n, 80 * g.n)
     indeg = [0] * g.n
     out: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.edges:
+    for i, j in g.edges.tolist():
         out[i].append(j)
         indeg[j] += 1
     queue = deque(v for v in range(g.n) if indeg[v] == 0)
@@ -344,11 +348,10 @@ def find_order_violation(q: QuboMatrix, g: OrderDag):
         raise ValueError(f"order over {g.n} variables does not match QUBO with n={q.n}")
     if topological_order(g) is None:
         return ("cycle", None)
-    arr = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    scores = _pair_scores(q, arr[:, 0], arr[:, 1])
+    scores = _pair_scores(q, g.edges[:, 0], g.edges[:, 1])
     bad = np.flatnonzero(scores > 0.0)
     if bad.size:
-        i, j = g.edges[bad[0]]
+        i, j = g.edges[bad[0]].tolist()
         return ("score", (i, j, float(scores[bad[0]])))
     return None
 
@@ -366,11 +369,11 @@ def verify_order(q: QuboMatrix, g: OrderDag) -> bool:
 def in_ordered_subspace(g: OrderDag, x: Sequence[int]) -> bool:
     """True iff the assignment satisfies every edge implication."""
     arr = _as_assignment(g.n, x)
-    return all(arr[i] == 0.0 or arr[j] == 1.0 for i, j in g.edges)
+    return bool(np.all((arr[g.edges[:, 0]] == 0.0) | (arr[g.edges[:, 1]] == 1.0)))
 
 
 def save_order(g: OrderDag, path: str | Path) -> None:
-    Path(path).write_text(json.dumps({"n": g.n, "edges": [[i, j] for i, j in g.edges]}) + "\n")
+    Path(path).write_text(json.dumps({"n": g.n, "edges": g.edges.tolist()}) + "\n")
 
 
 def load_order(path: str | Path) -> OrderDag:
@@ -385,7 +388,4 @@ def load_order(path: str | Path) -> OrderDag:
         raise ValueError(f"'n' must be a nonnegative integer, got {n!r}")
     if type(raw) is not list:
         raise ValueError(f"'edges' must be a list of [i, j] pairs, got {raw!r}")
-    for item in raw:
-        if type(item) is not list or len(item) != 2 or type(item[0]) is not int or type(item[1]) is not int:
-            raise ValueError(f"edge entry must be a pair of integers [i, j], got {item!r}")
-    return OrderDag(n, tuple(map(tuple, raw)))
+    return OrderDag(n, raw)

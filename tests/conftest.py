@@ -155,7 +155,7 @@ def reference_encode_qubo(inst, lam) -> dict[tuple[int, int], float]:
     terms: dict[tuple[int, int], float] = {}
     w = np.array(inst.weights, dtype=np.int64)
     for i in range(inst.n):
-        terms[(i, i)] = float(-inst.values[i] + lam * int((w[:, i] ** 2).sum()))
+        terms[(i, i)] = float(-inst.values[i] + lam * sum(row[i] ** 2 for row in inst.weights))
     for block in slack_blocks(inst):
         k = block.constraint
         for t, st in enumerate(block.weights):

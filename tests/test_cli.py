@@ -64,6 +64,21 @@ class TestGen:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["exp", "od-reduction", "--p-grid", "0.5,a"], "--p-grid"),
+    (["exp", "od-reduction", "--p-grid", ""], "--p-grid"),
+    (["exp", "timing", "--n-list", "8,x"], "--n-list"),
+    (["exp", "timing", "--n-list", "8,12.5"], "--n-list"),
+])
+def test_bad_list_entry_is_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(out)])
+    assert err.value.code == 2
+    assert f"argument {flag}: must be comma-separated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "synth", "--n", "5", "--p", "1.0"],
     ["gen", "hard", "--n", "5"],
@@ -500,6 +515,19 @@ class TestEncodeDecode:
         bad = tmp_path / "bad.txt"
         bad.write_text("1 2 1 0 10 7 5")
         assert main(["encode", "--mkp", str(bad), "--out", str(tmp_path / "x.json")]) == 3
+
+    @pytest.mark.parametrize("text, argv, message", [
+        (f"1 2 1 0  1 {10**20}  1 1  1", ["decode", "--samples", "none.json"], f"value of item 1 is {10**20}"),
+        (f"1 2 1 0  1 1  1 {10**20}  1", ["encode", "--out", "x.json"], f"weight (0, 1) is {10**20}"),
+        ("1 2 1 0  1 1  1 4000000000  1", ["encode", "--out", "x.json"], "weight (0, 1) is 4000000000"),
+        (f"1 2 1 0  1 1  1 1  {10**20}", ["exp", "mkp-gap", "--out", "x.csv"], f"capacity 0 is {10**20}"),
+    ], ids=["value", "weight", "weight-4e9", "capacity"])
+    def test_number_over_its_limit_exits_three(self, tmp_path, capsys, monkeypatch, text, argv, message):
+        monkeypatch.chdir(tmp_path)
+        Path("inst.txt").write_text(text)
+        assert main([*argv, "--mkp", "inst.txt"]) == 3
+        assert message in capsys.readouterr().err
+        assert not Path(argv[-1]).exists()
 
     @pytest.mark.parametrize("samples_text, message", [
         ("{}", "'samples' list, got {}"),

@@ -68,6 +68,15 @@ class TestParser:
         with pytest.raises(ParseError, match="integer"):
             parse_orlib("1 2 x 0 10 7 5 4 6")
 
+    def test_numbers_at_their_limits(self):
+        MkpInstance((2**31 - 1,), ((2**31 - 1,),), (2**62 - 1,))
+        with pytest.raises(ValueError, match=r"value of item 1 is 2147483648, outside 1\.\.2147483647"):
+            MkpInstance((1, 2**31), ((1, 1),), (1,))
+        with pytest.raises(ValueError, match=r"weight \(1, 0\) is 0, outside 1\.\.2147483647"):
+            MkpInstance((1, 1), ((1, 1), (0, 1)), (1, 1))
+        with pytest.raises(ValueError, match=r"capacity 0 is 4611686018427387904, outside 1\.\.4611686018427387903"):
+            MkpInstance((1,), ((1,),), (2**62,))
+
     def test_non_positive_shape(self):
         with pytest.raises(ParseError, match="non-positive"):
             parse_orlib("1 0 1 0")
@@ -198,6 +207,12 @@ class TestEncoding:
         enc = encode_qubo(inst, lam)
         assert enc.qubo.terms[(0, 1)] == 2 * lam * (3 * 4 + 2 * 6)
 
+    def test_squared_weights_sum_exactly(self):
+        # three squared weights of 2**31 - 1 sum past 2**63, where int64 wraps
+        w = 2**31 - 1
+        inst = MkpInstance((1, 2), ((w, 1),) * 3, (w,) * 3)
+        assert encode_qubo(inst, 1.0).qubo.terms[(0, 0)] == float(-1 + 3 * w * w)
+
     def test_invalid_lambda(self):
         inst = MkpInstance((5,), ((3,),), (5,))
         for encoder in (encode_qubo, encode_linearized):
@@ -232,19 +247,19 @@ class TestEncoding:
 class TestDominanceOrder:
     def test_strict_dominance(self):
         inst = MkpInstance((3, 4), ((5, 2),), (6,))
-        assert extract_mkp_order(inst).edges == ((0, 1),)
+        assert extract_mkp_order(inst).edges.tolist() == [[0, 1]]
 
     def test_identical_items_ordered_by_index(self):
         inst = MkpInstance((3, 3), ((5, 5),), (6,))
-        assert extract_mkp_order(inst).edges == ((0, 1),)
+        assert extract_mkp_order(inst).edges.tolist() == [[0, 1]]
 
     def test_incomparable_items(self):
         inst = MkpInstance((3, 4), ((2, 5),), (6,))
-        assert extract_mkp_order(inst).edges == ()
+        assert extract_mkp_order(inst).edges.tolist() == []
 
     def test_dominance_must_hold_on_every_constraint(self):
         inst = MkpInstance((3, 4), ((5, 2), (2, 5)), (6, 6))
-        assert extract_mkp_order(inst).edges == ()
+        assert extract_mkp_order(inst).edges.tolist() == []
 
     def test_is_acyclic(self):
         from qubolin.ordering import topological_order

@@ -59,7 +59,7 @@ class TestScorePair:
 
 class TestDenseExtraction:
     def test_worked_example(self, example_q):
-        assert extract_order_dense(example_q).edges == ((0, 1), (0, 2))
+        assert extract_order_dense(example_q).edges.tolist() == [[0, 1], [0, 2]]
 
     def test_fully_symmetric_matrix_yields_total_order(self):
         n = 5
@@ -68,14 +68,14 @@ class TestDenseExtraction:
         ]
         q = QuboMatrix.from_entries(n, entries)
         expected = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        assert set(extract_order_dense(q).edges) == set(expected)
+        assert set(map(tuple, extract_order_dense(q).edges.tolist())) == set(expected)
 
     def test_diagonal_only_orders_every_pair_one_way(self):
         # strictly increasing diagonal: the pair score is just the diagonal
         # difference, so every pair is ordered from larger to smaller entry
         diag = [-9, -5, -2, 4]
         q = QuboMatrix.from_entries(4, [(i, i, d) for i, d in enumerate(diag)])
-        edges = set(extract_order_dense(q).edges)
+        edges = set(map(tuple, extract_order_dense(q).edges.tolist()))
         for i in range(4):
             for j in range(4):
                 if i == j:
@@ -89,7 +89,7 @@ class TestDenseExtraction:
         for trial in range(60):
             n = int(rng.integers(2, 35))
             q = random_integer_qubo(rng, n, density=float(rng.uniform(0.2, 1.0)))
-            assert extract_order_dense(q).edges == reference_extraction(q)
+            assert extract_order_dense(q).edges.tolist() == list(map(list, reference_extraction(q)))
 
     def test_matches_scalar_reference_on_tied_diagonals(self):
         # tied diagonals let both orientations of a pair pass the guard, which
@@ -102,8 +102,8 @@ class TestDenseExtraction:
             instances.append(qubo_with_symmetric_block(rng, n, block))
         fired = 0
         for q in instances:
-            edges = extract_order_dense(q).edges
-            assert edges == reference_extraction(q)
+            edges = extract_order_dense(q).edges.tolist()
+            assert edges == list(map(list, reference_extraction(q)))
             fired += any(score_pair(q, j, i) <= 0 for i, j in edges)
         assert fired >= 20
 
@@ -114,7 +114,7 @@ class TestDenseExtraction:
             size = int(rng.integers(2, 5))
             block = sorted(rng.choice(n, size=size, replace=False).tolist())
             q = qubo_with_symmetric_block(rng, n, block)
-            edges = set(extract_order_dense(q).edges)
+            edges = set(map(tuple, extract_order_dense(q).edges.tolist()))
             for a in range(size):
                 for b in range(a + 1, size):
                     assert (block[a], block[b]) in edges
@@ -123,7 +123,7 @@ class TestDenseExtraction:
         rng = np.random.default_rng(44)
         for _ in range(30):
             q = random_integer_qubo(rng, int(rng.integers(2, 25)))
-            edges = set(extract_order_dense(q).edges)
+            edges = set(map(tuple, extract_order_dense(q).edges.tolist()))
             assert not any((j, i) in edges for i, j in edges)
 
     def test_output_is_acyclic(self):
@@ -142,11 +142,11 @@ class TestDenseExtraction:
 
 class TestSparseExtraction:
     def test_worked_example(self, example_q):
-        assert extract_order_sparse(example_q).edges == ((0, 1), (0, 2))
+        assert extract_order_sparse(example_q).edges.tolist() == [[0, 1], [0, 2]]
 
     def test_no_couplings_means_no_edges(self):
         q = QuboMatrix.from_entries(4, [(i, i, -i - 1) for i in range(4)])
-        assert extract_order_sparse(q).edges == ()
+        assert extract_order_sparse(q).edges.tolist() == []
 
     def test_every_edge_rescored_nonpositive(self):
         rng = np.random.default_rng(47)
@@ -169,10 +169,10 @@ class TestSparseExtraction:
             for n in rng.integers(6, 40, size=10).tolist()
         ]
         for q in instances:
-            adjacent_dense = tuple(
-                (i, j) for i, j in extract_order_dense(q).edges if symmetric_coefficient(q, i, j)
-            )
-            assert extract_order_sparse(q).edges == adjacent_dense
+            adjacent_dense = [
+                [i, j] for i, j in extract_order_dense(q).edges.tolist() if symmetric_coefficient(q, i, j)
+            ]
+            assert extract_order_sparse(q).edges.tolist() == adjacent_dense
 
     @given(st.integers(2, 70), st.floats(0.05, 1.0), st.integers(0, 10_000))
     def test_first_columns_bound_is_below_exact_score(self, n, density, seed):
@@ -189,9 +189,9 @@ class TestSparseExtraction:
         # cheap and keep agreeing with the dense scan on adjacent pairs
         rng = np.random.default_rng(49)
         q = random_integer_qubo(rng, 400, density=0.01, low=-30, high=5)
-        sparse = set(extract_order_sparse(q).edges)
+        sparse = set(map(tuple, extract_order_sparse(q).edges.tolist()))
         dense_adjacent = {
-            (i, j) for i, j in extract_order_dense(q).edges if symmetric_coefficient(q, i, j)
+            (i, j) for i, j in extract_order_dense(q).edges.tolist() if symmetric_coefficient(q, i, j)
         }
         assert sparse == dense_adjacent
         assert all(score_pair(q, i, j) <= 0 for i, j in sparse)
@@ -238,7 +238,7 @@ class TestVerifyOrder:
                 edges = [e for e in edges if reference_score(q, *e) <= 0 or rng.random() < 0.1]
             g = OrderDag(n, tuple(edges))
             expected = None
-            for i, j in g.edges:
+            for i, j in g.edges.tolist():
                 s = reference_score(q, i, j)
                 if s > 0:
                     expected = ("score", (i, j, s))
@@ -250,6 +250,26 @@ class TestVerifyOrder:
 
 
 class TestOrderDag:
+    def test_tuple_list_and_array_inputs_agree(self):
+        want = np.array([[0, 2], [1, 2]])
+        for edges in (((0, 2), (1, 2)), [[0, 2], [1, 2]], want, want.astype(np.int32)):
+            g = OrderDag(3, edges)
+            assert g.edges.dtype == np.int64 and np.array_equal(g.edges, want)
+            assert not g.edges.flags.writeable
+        want[0, 0] = 1  # the order holds its own copy
+        assert g.edges.tolist() == [[0, 2], [1, 2]]
+        assert OrderDag(3, ()).edges.shape == OrderDag(3, np.empty((0, 2), dtype=np.int64)).edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1), (0.5, 2)), r"pair of integers \(i, j\), got \(0.5, 2\)"),
+        ([[0, 1], [2, True]], r"pair of integers \(i, j\), got \[2, True\]"),
+        (np.array([[0.0, 1.0]]), "integers, got dtype float64"),
+        (np.array([[True, False]]), "integers, got dtype bool"),
+    ])
+    def test_non_integer_entry_rejected(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            OrderDag(3, edges)
+
     def test_reverse_pair_rejected(self):
         with pytest.raises(ValueError, match="reverse"):
             OrderDag(3, ((0, 1), (1, 0)))
@@ -300,7 +320,21 @@ class TestOrderSerialization:
         order = extract_order_dense(example_q)
         path = tmp_path / "order.json"
         save_order(order, path)
-        assert load_order(path).edges == order.edges
+        assert np.array_equal(load_order(path).edges, order.edges)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 5, "edges": [[3, 0], [0, 1], [4, 2]]}\n',  # file order, not row-major
+        '{"n": 0, "edges": []}\n',
+        None,
+    ])
+    def test_load_save_round_trip_is_byte_identical(self, tmp_path, text):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        if text is None:
+            save_order(extract_order_dense(generate_synthetic(SynthParams(40, 2.0, seed=3))), first)
+        else:
+            first.write_text(text)
+        save_order(load_order(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_load_rejects_reverse_pairs(self, tmp_path):
         path = tmp_path / "bad.json"
