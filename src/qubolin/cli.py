@@ -204,7 +204,7 @@ def _cmd_exp_od(args) -> int:
 
 def _cmd_exp_timing(args) -> int:
     ns = args.n_list
-    classes = args.classes.split(",")
+    classes = args.classes
     rows, fits = experiments.run_timing(ns, classes, list(range(args.seeds)), repeats=args.repeats)
     experiments.write_csv(rows, experiments.TIMING_FIELDS, args.out)
     experiments.write_manifest(
@@ -262,6 +262,19 @@ def _list_of(convert, what: str):
             raise argparse.ArgumentTypeError(f"must be comma-separated {what}, got {text!r}") from None
 
     return parse
+
+
+def _timing_classes(text: str) -> list[str]:
+    """The argparse type of ``--classes``: comma-separated class labels."""
+    labels = text.split(",")
+    for label in labels:
+        try:
+            experiments.parse_timing_class(label)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"unknown timing class {label!r}; use 'hard' or 'p=<number>'"
+            ) from None
+    return labels
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e_t = exp_sub.add_parser("timing", help="extraction runtime scaling")
     e_t.add_argument("--n-list", type=_list_of(int, "integers"), default="100,200,400,800")
-    e_t.add_argument("--classes", default="p=2.0,hard")
+    e_t.add_argument("--classes", type=_timing_classes, default="p=2.0,hard")
     e_t.add_argument("--seeds", type=int, default=5)
     e_t.add_argument("--repeats", type=int, default=3)
     e_t.add_argument("--out", required=True)

@@ -9,7 +9,6 @@ keeps the original minimum while shedding one off-diagonal per edge.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ordering import OrderDag, extract_order_dense
-from .qubo import QuboMatrix, _as_assignment, _pair_keys
+from .qubo import QuboMatrix, _as_assignment, _pair_keys, _save_rows
 
 __all__ = [
     "LinearizationReport",
@@ -29,26 +28,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearizationReport:
     """What a linearization pass moved around.
 
-    ``removed`` lists ``(i, j, c)`` per rewritten term, oriented along the
-    edge: coefficient ``c`` left the off-diagonal cell of the unordered pair
-    ``{i, j}`` and was added to the diagonal of ``i``.
+    ``src``, ``dst`` (int64) and ``coef`` (float64) are read-only arrays in
+    edge order, one entry per rewritten term: coefficient ``coef[t]`` left
+    the off-diagonal cell of the unordered pair ``{src[t], dst[t]}`` and was
+    added to the diagonal of ``src[t]``.
     """
 
-    removed: tuple[tuple[int, int, float], ...]
+    src: np.ndarray
+    dst: np.ndarray
+    coef: np.ndarray
+
+    def __post_init__(self):
+        columns = {"src": np.int64, "dst": np.int64, "coef": np.float64}
+        arrays = [np.array(getattr(self, name), dtype=dtype) for name, dtype in columns.items()]
+        shapes = [a.shape for a in arrays]
+        if len(shapes[0]) != 1 or len(set(shapes)) != 1:
+            raise ValueError(f"report columns must be 1-D of one length, got shapes {shapes}")
+        for name, arr in zip(columns, arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def removed_count(self) -> int:
-        return len(self.removed)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "removed_count": self.removed_count,
-            "removed": [[i, j, c] for i, j, c in self.removed],
-        }
+        return self.src.size
 
 
 def _edge_coefficients(q: QuboMatrix, g: OrderDag) -> tuple[np.ndarray, np.ndarray]:
@@ -76,12 +82,11 @@ def linearize(q: QuboMatrix, g: OrderDag) -> tuple[QuboMatrix, LinearizationRepo
     """
     pos, c = _edge_coefficients(q, g)
     moved = np.flatnonzero(c)
-    src, cm = g.edges[moved, 0], c[moved]
-    report = LinearizationReport(tuple(zip(src.tolist(), g.edges[moved, 1].tolist(), cm.tolist())))
+    report = LinearizationReport(g.edges[moved, 0], g.edges[moved, 1], c[moved])
     if not moved.size:
         return q, report
     diag = q._diag.copy()
-    np.add.at(diag, src, cm)
+    np.add.at(diag, report.src, report.coef)
     keep = q.rows != q.cols
     keep[pos[moved]] = False
     rows, cols, vals = q.rows[keep], q.cols[keep], q.vals[keep]
@@ -112,17 +117,17 @@ def penalty_value(q: QuboMatrix, g: OrderDag, x: Sequence[int]) -> float:
 
 def undo_linearization(q_lin: QuboMatrix, report: LinearizationReport) -> QuboMatrix:
     """Reconstruct the original matrix from a linearized one and its report."""
-    if not report.removed:
+    if not report.removed_count:
         return q_lin
-    i, j, c = (np.array(col) for col in zip(*report.removed))
+    i, j, c = report.src, report.dst, report.coef
     # a cell is occupied if it is stored or an earlier removal restores it
     occupied = q_lin._find_pairs(i, j) >= 0
     key = _pair_keys(np.minimum(i, j), np.maximum(i, j))
     order = np.argsort(key, kind="stable")
     occupied[order[1:]] |= key[order[1:]] == key[order[:-1]]
     if occupied.any():
-        a, b, _ = report.removed[int(np.argmax(occupied))]
-        raise ValueError(f"cannot restore ({a}, {b}): cell already occupied")
+        t = int(np.argmax(occupied))
+        raise ValueError(f"cannot restore ({i[t]}, {j[t]}): cell already occupied")
     diag = q_lin._diag.copy()
     np.subtract.at(diag, i, c)
     on = np.flatnonzero(diag)
@@ -136,4 +141,4 @@ def undo_linearization(q_lin: QuboMatrix, report: LinearizationReport) -> QuboMa
 
 
 def save_report(report: LinearizationReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_json_dict()) + "\n")
+    _save_rows(path, {"removed_count": report.removed_count}, "removed", report.src, report.dst, report.coef)

@@ -13,13 +13,15 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import LimitError
-from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes, _pair_keys
+from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes, _pair_keys, _save_rows
 
 __all__ = [
     "OrderDag",
@@ -55,25 +57,17 @@ class OrderDag:
 
     Edge ``(i, j)`` means "x_i = 1 implies x_j = 1"; ``edges`` is a read-only
     ``(m, 2)`` int64 array, built from pairs of Python ints or an integer
-    array.  Construction rejects other entries, self-loops, out-of-range
-    indices, duplicates and two-cycles; acyclicity beyond that is checked by
-    :func:`verify_order`, not here, so orders read from untrusted files stay
-    representable.
+    ``(m, 2)`` array.  Construction rejects other entries and shapes,
+    self-loops, out-of-range indices, duplicates and two-cycles; acyclicity
+    beyond that is checked by :func:`verify_order`, not here, so orders read
+    from untrusted files stay representable.
     """
 
     n: int
     edges: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.edges, np.ndarray):
-            # exact type tests, as in QuboMatrix.from_json_dict
-            for e in self.edges:
-                if type(e) not in (tuple, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-                    raise ValueError(f"edge entry must be a pair of integers (i, j), got {e!r}")
-        elif self.edges.size and self.edges.dtype.kind not in "iu":
-            raise ValueError(f"edge array must hold integers, got dtype {self.edges.dtype}")
-        # indices beyond int64 give an object array, which the range checks reject
-        arr = np.array(self.edges).reshape(-1, 2)
+        arr = _edge_array(self.edges)
         bad = np.flatnonzero(arr[:, 0] == arr[:, 1])
         if bad.size:
             raise ValueError(f"self-loop edge {tuple(arr[bad[0]].tolist())}")
@@ -98,6 +92,33 @@ class OrderDag:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def _edge_array(edges) -> np.ndarray:
+    """A new ``(m, 2)`` array of the entries of ``edges``, whose types are checked."""
+    if isinstance(edges, np.ndarray):
+        if edges.size and edges.dtype.kind not in "iu":
+            raise ValueError(f"edge array must hold integers, got dtype {edges.dtype}")
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edge array must have shape (m, 2), got {edges.shape}")
+        return edges.copy()
+    if not edges:
+        return np.empty((0, 2), dtype=np.int64)
+    # column-wise exact type tests, as in QuboMatrix.from_json_dict; on a
+    # failure, name the first faulty entry
+    ok = set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {2}
+    if ok:
+        src, dst = (list(map(itemgetter(k), edges)) for k in range(2))
+        ok = set(map(type, chain(src, dst))) == {int}
+    if not ok:
+        for e in edges:
+            if type(e) not in (tuple, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+                raise ValueError(f"edge entry must be a pair of integers (i, j), got {e!r}")
+    try:
+        return np.stack([np.fromiter(col, np.int64, len(col)) for col in (src, dst)], axis=1)
+    except OverflowError:
+        # indices beyond int64 give an object array, which the range checks reject
+        return np.array(edges)
 
 
 def _reversed_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -373,7 +394,7 @@ def in_ordered_subspace(g: OrderDag, x: Sequence[int]) -> bool:
 
 
 def save_order(g: OrderDag, path: str | Path) -> None:
-    Path(path).write_text(json.dumps({"n": g.n, "edges": g.edges.tolist()}) + "\n")
+    _save_rows(path, {"n": g.n}, "edges", g.edges[:, 0], g.edges[:, 1])
 
 
 def load_order(path: str | Path) -> OrderDag:

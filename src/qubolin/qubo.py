@@ -251,9 +251,6 @@ class QuboMatrix:
     # ------------------------------------------------------------------
     # serialization
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "terms": list(zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()))}
-
     @staticmethod
     def from_json_dict(data: dict) -> "QuboMatrix":
         try:
@@ -332,8 +329,36 @@ def symmetric_coefficient(q: QuboMatrix, i: int, j: int) -> float:
     return float(q.vals[t]) if t >= 0 else 0.0
 
 
+def _json_rows(*columns: np.ndarray) -> str:
+    """The text ``json.dumps`` writes for the rows ``[[c0[t], c1[t], ...], ...]``
+    of equal-length 1-D arrays.
+
+    Each distinct value of a column is formatted once, by ``json.dumps`` on
+    the list of distinct values, and the rows are joined once.  Floats are
+    told apart by bit pattern, so ``-0.0`` keeps its sign.
+    """
+    m = columns[0].size
+    if not m:
+        return "[]"
+    cells = np.empty((m, len(columns)), dtype=object)
+    for k, col in enumerate(columns):
+        bits = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        sep = "], [" if k == len(columns) - 1 else ", "
+        text = json.dumps(distinct.view(col.dtype).tolist())[1:-1].split(", ")
+        cells[:, k] = np.array([t + sep for t in text], dtype=object)[inverse]
+    cells[-1, -1] = cells[-1, -1][: -len("], [")]
+    return "[[" + "".join(cells.ravel().tolist()) + "]]"
+
+
+def _save_rows(path: str | Path, head: dict, key: str, *columns: np.ndarray) -> None:
+    """Write the text ``json.dumps({**head, key: rows}) + "\\n"``, with the rows
+    of :func:`_json_rows`; ``head`` is not empty."""
+    Path(path).write_text(f"{json.dumps(head)[:-1]}, {json.dumps(key)}: {_json_rows(*columns)}}}\n")
+
+
 def save_qubo(q: QuboMatrix, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(q.to_json_dict()) + "\n")
+    _save_rows(path, {"n": q.n}, "terms", q.rows, q.cols, q.vals)
 
 
 def load_qubo(path: str | Path) -> QuboMatrix:

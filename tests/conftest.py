@@ -6,7 +6,9 @@ the production code paths they are used to check.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,3 +239,20 @@ def qubo_with_symmetric_block(rng: np.random.Generator, n: int, block: list[int]
         if intra:
             terms[(a, b)] = float(intra)
     return QuboMatrix(n, terms)
+
+
+def reference_save_qubo(q: QuboMatrix, path) -> None:
+    """The QUBO writer as one ``json.dumps`` call over Python triples."""
+    terms = list(zip(q.rows.tolist(), q.cols.tolist(), q.vals.tolist()))
+    Path(path).write_text(json.dumps({"n": q.n, "terms": terms}) + "\n")
+
+
+def reference_save_order(g, path) -> None:
+    """The order writer as one ``json.dumps`` call over nested lists."""
+    Path(path).write_text(json.dumps({"n": g.n, "edges": g.edges.tolist()}) + "\n")
+
+
+def reference_save_report(report, path) -> None:
+    """The report writer as one ``json.dumps`` call over Python triples."""
+    removed = [[i, j, c] for i, j, c in zip(report.src.tolist(), report.dst.tolist(), report.coef.tolist())]
+    Path(path).write_text(json.dumps({"removed_count": report.removed_count, "removed": removed}) + "\n")

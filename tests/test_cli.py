@@ -22,9 +22,9 @@ from qubolin import (
     parse_orlib,
     save_qubo,
 )
-from qubolin import ordering
+from qubolin import cli, ordering
 from qubolin.cli import build_parser, main
-from qubolin.linearize import save_report
+from qubolin.linearize import LinearizationReport, save_report
 from qubolin.ordering import OrderDag, save_order
 
 
@@ -76,6 +76,16 @@ def test_bad_list_entry_is_usage_error(tmp_path, capsys, argv, flag):
         main([*argv, "--out", str(out)])
     assert err.value.code == 2
     assert f"argument {flag}: must be comma-separated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes, label", [("p=abc", "p=abc"), ("hard,p=", "p="), ("p=2.0,dense", "dense")])
+def test_bad_timing_class_is_usage_error(tmp_path, capsys, classes, label):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["exp", "timing", "--classes", classes, "--out", str(out)])
+    assert err.value.code == 2
+    assert f"argument --classes: unknown timing class {label!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -360,6 +370,43 @@ class TestNoTermsOnHotPaths:
             ["decode", "--mkp", str(inst), "--lambda", "0.37", *flag, "--samples", str(samples)],
         ):
             assert main(argv) == 0
+
+
+class TestNoTriplesOnHotPaths:
+    """``linearize`` hands its report arrays, never Python triples, and the
+    CLI formats a report only when ``--report`` asks for one."""
+
+    @pytest.fixture(autouse=True)
+    def arrays_only(self, monkeypatch):
+        post_init = LinearizationReport.__post_init__
+
+        def check(report):
+            for name in ("src", "dst", "coef"):
+                assert isinstance(getattr(report, name), np.ndarray), f"report {name} built as Python objects"
+            post_init(report)
+
+        def fail(*args):
+            raise AssertionError("report formatted without --report")
+
+        monkeypatch.setattr(LinearizationReport, "__post_init__", check)
+        monkeypatch.setattr(cli, "save_report", fail)
+
+    def test_linearize(self, tmp_path):
+        q = generate_synthetic(SynthParams(n=40, p=2.0, seed=3))
+        path, order, out = tmp_path / "q.json", tmp_path / "order.json", tmp_path / "lin.json"
+        save_qubo(q, path)
+        for argv in (
+            ["order", "--in", str(path), "--out", str(order)],
+            ["linearize", "--in", str(path), "--out", str(out)],
+            ["linearize", "--in", str(path), "--order", str(order), "--out", str(out)],
+        ):
+            assert main(argv) == 0
+        assert od_count(load_qubo(out)) < od_count(q)
+
+    def test_encode_linearized(self, tmp_path):
+        inst, enc = tmp_path / "inst.txt", tmp_path / "enc.json"
+        assert main(["gen", "mkp", "--n", "12", "--m", "2", "--alpha", "0.5", "--seed", "1", "--out", str(inst)]) == 0
+        assert main(["encode", "--mkp", str(inst), "--linearize", "--out", str(enc)]) == 0
 
 
 # JSON values of every shape the QUBO boundary must survive

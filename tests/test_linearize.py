@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import exhaustive_minimum, random_integer_qubo, reference_linearize
 from qubolin import (
+    LinearizationReport,
     OrderDag,
     QuboMatrix,
     count_local_minima,
@@ -17,7 +19,12 @@ from qubolin import (
     od_count,
     penalty_value,
 )
-from qubolin.linearize import _edge_coefficients, undo_linearization
+from qubolin.linearize import _edge_coefficients, save_report, undo_linearization
+
+
+def triples(report):
+    """The report's rewritten terms as ``(i, j, c)`` tuples."""
+    return tuple(zip(report.src.tolist(), report.dst.tolist(), report.coef.tolist()))
 
 
 @pytest.fixture
@@ -30,7 +37,7 @@ class TestLinearize:
         q_lin, report = linearize(example_q, example_order)
         assert q_lin == example_q_linearized
         assert report.removed_count == 2
-        assert report.removed == ((0, 1, 2.0), (0, 2, 7.0))
+        assert triples(report) == ((0, 1, 2.0), (0, 2, 7.0))
 
     def test_empty_order_is_identity(self, example_q):
         q_lin, report = linearize(example_q, OrderDag(3, ()))
@@ -50,7 +57,7 @@ class TestLinearize:
         q = QuboMatrix.from_entries(2, [(0, 0, -1), (1, 1, -1), (0, 1, 5)])
         q_lin, report = linearize(q, OrderDag(2, ((1, 0),)))
         assert q_lin.terms == {(0, 0): -1.0, (1, 1): 4.0}
-        assert report.removed == ((1, 0, 5.0),)
+        assert triples(report) == ((1, 0, 5.0),)
 
     def test_dimension_mismatch(self, example_q):
         with pytest.raises(ValueError):
@@ -61,8 +68,8 @@ class TestLinearize:
         for _ in range(20):
             q = random_integer_qubo(rng, int(rng.integers(2, 20)))
             _, report = linearize(q, extract_order_dense(q))
-            assert all(c > 0 for _, _, c in report.removed)
-            assert report.removed_count == len(report.removed)
+            assert all(c > 0 for _, _, c in triples(report))
+            assert report.removed_count == len(triples(report))
 
     def test_sparsity_accounting(self):
         rng = np.random.default_rng(11)
@@ -109,7 +116,7 @@ class TestDictOracle:
         q_lin, report = linearize(q, order)
         terms, removed, coeffs = reference_linearize(q, order.edges.tolist())
         assert q_lin.terms == terms
-        assert report.removed == removed
+        assert triples(report) == removed
         assert dict(zip(map(tuple, order.edges.tolist()), _edge_coefficients(q, order)[1].tolist())) == coeffs
         # bit-equal diagonals, also where the additions round
         assert [v.hex() for (i, j), v in q_lin.terms.items() if i == j] == [
@@ -123,6 +130,27 @@ class TestDictOracle:
         q_lin, report = linearize(q, OrderDag(3, ((0, 1), (0, 2))))
         assert q_lin.terms == reference_linearize(q, ((0, 1), (0, 2)))[0] == {(0, 0): 3.0}
         assert undo_linearization(q_lin, report) == q
+
+    @given(qubos_with_orders())
+    def test_report_file_round_trip(self, tmp_path_factory, case):
+        q, order, integral = case
+        q_lin, report = linearize(q, order)
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        save_report(report, path)
+        data = json.loads(path.read_text())
+        assert data["removed_count"] == report.removed_count
+        read = LinearizationReport(*(zip(*data["removed"]) if data["removed"] else ((), (), ())))
+        for name in ("src", "dst", "coef"):
+            assert getattr(read, name).tobytes() == getattr(report, name).tobytes()
+        if integral:
+            assert undo_linearization(q_lin, read) == q
+
+    def test_report_columns_are_read_only_arrays(self, example_q, example_order):
+        _, report = linearize(example_q, example_order)
+        for col, dtype in ((report.src, np.int64), (report.dst, np.int64), (report.coef, np.float64)):
+            assert col.dtype == dtype and not col.flags.writeable
+        with pytest.raises(ValueError, match="1-D of one length"):
+            LinearizationReport([0, 1], [1], [2.0])
 
     def test_undo_rejects_an_occupied_cell(self):
         q = QuboMatrix.from_entries(2, [(0, 1, 2)])
@@ -217,7 +245,7 @@ class TestFusedPass:
             two_phase_q, two_phase_report = linearize(q, order)
             assert fused_q == two_phase_q
             assert np.array_equal(fused_order.edges, order.edges)
-            assert fused_report.removed == two_phase_report.removed
+            assert triples(fused_report) == triples(two_phase_report)
 
 
 class TestLandscapeThinning:

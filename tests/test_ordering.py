@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -265,10 +267,24 @@ class TestOrderDag:
         ([[0, 1], [2, True]], r"pair of integers \(i, j\), got \[2, True\]"),
         (np.array([[0.0, 1.0]]), "integers, got dtype float64"),
         (np.array([[True, False]]), "integers, got dtype bool"),
+        ([[0, 1]] * 50 + [(2, 1.0)], r"pair of integers \(i, j\), got \(2, 1.0\)"),
+        ([[0, 1], [1, 2], 5], r"pair of integers \(i, j\), got 5"),
+        (([0, 1], (1, 2, 0)), r"pair of integers \(i, j\), got \(1, 2, 0\)"),
+        (([0, 1], "12"), r"pair of integers \(i, j\), got '12'"),
     ])
     def test_non_integer_entry_rejected(self, edges, message):
         with pytest.raises(ValueError, match=message):
             OrderDag(3, edges)
+
+    @pytest.mark.parametrize("edges", [
+        np.array([[0, 1, 2], [3, 4, 0]]),
+        np.array([0, 1, 2, 3]),
+        np.array([[[0, 1]], [[1, 2]]]),
+        np.empty(0, dtype=np.int64),
+    ])
+    def test_array_of_another_shape_rejected(self, edges):
+        with pytest.raises(ValueError, match=rf"shape \(m, 2\), got {re.escape(str(edges.shape))}"):
+            OrderDag(5, edges)
 
     def test_reverse_pair_rejected(self):
         with pytest.raises(ValueError, match="reverse"):

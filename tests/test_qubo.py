@@ -5,13 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import exhaustive_energy, random_integer_qubo, reference_from_entries
+from conftest import (
+    exhaustive_energy,
+    random_integer_qubo,
+    reference_from_entries,
+    reference_save_order,
+    reference_save_qubo,
+    reference_save_report,
+)
 from qubolin import (
+    LinearizationReport,
+    OrderDag,
     QuboMatrix,
     SynthParams,
     encode_linearized,
     encode_qubo,
     energy,
+    extract_and_linearize,
     flip_delta,
     generate_hard,
     generate_mkp,
@@ -21,6 +31,9 @@ from qubolin import (
     save_qubo,
     symmetric_coefficient,
 )
+from qubolin.linearize import save_report
+from qubolin.ordering import save_order
+from qubolin.qubo import INDEX_LIMIT
 
 
 class TestEnergy:
@@ -304,6 +317,72 @@ class TestSaveBytes:
         # the writer's format: sorted keys, floats by repr
         terms = [[i, j, v] for (i, j), v in sorted(q.terms.items())]
         assert first.read_text() == json.dumps({"n": q.n, "terms": terms}) + "\n"
+
+
+# values whose text json.dumps spells in each of its styles: integral floats
+# ("2.0"), exponents ("1e+16"), subnormals, negatives and the extremes
+file_values = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e16, -1e16, 5e-324, -2.5e-320, -0.5, 0.1, 1e308, -1.7976931348623157e308, 2.0**53]),
+)
+file_sizes = st.one_of(st.integers(1, 12), st.just(INDEX_LIMIT))
+
+
+@st.composite
+def index_pairs(draw, n: int, distinct: bool):
+    """Pairs of indices below ``n``, at most one per unordered pair."""
+    cell = st.integers(0, n - 1) if n < 12 else st.sampled_from([0, 1, 7, n // 2, n - 2, n - 1])
+    pair = st.tuples(cell, cell)
+    if distinct:
+        pair = pair.filter(lambda p: p[0] != p[1])
+    return draw(st.lists(pair, max_size=30, unique_by=lambda p: frozenset(p)))
+
+
+class TestWriterOracle:
+    """The QUBO, order and report writers against one ``json.dumps`` call each."""
+
+    @staticmethod
+    def same_bytes(tmp_path, save, reference, obj) -> None:
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        save(obj, got)
+        reference(obj, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @given(st.data())
+    def test_qubo(self, tmp_path_factory, data):
+        n = data.draw(file_sizes)
+        pairs = data.draw(index_pairs(n, distinct=False))
+        vals = data.draw(st.lists(file_values, min_size=len(pairs), max_size=len(pairs)))
+        q = QuboMatrix.from_entries(n, [(min(p), max(p), v) for p, v in zip(pairs, vals)])
+        self.same_bytes(tmp_path_factory.mktemp("q"), save_qubo, reference_save_qubo, q)
+
+    @given(st.data())
+    def test_order(self, tmp_path_factory, data):
+        n = data.draw(file_sizes)
+        pairs = data.draw(index_pairs(n, distinct=True))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = OrderDag(n, [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)])
+        self.same_bytes(tmp_path_factory.mktemp("order"), save_order, reference_save_order, g)
+
+    @given(st.lists(st.tuples(st.integers(0, INDEX_LIMIT - 1), st.integers(0, INDEX_LIMIT - 1),
+                              st.one_of(file_values, st.sampled_from([0.0, -0.0]))), max_size=30))
+    def test_report(self, tmp_path_factory, removed):
+        report = LinearizationReport(*(zip(*removed) if removed else ((), (), ())))
+        self.same_bytes(tmp_path_factory.mktemp("report"), save_report, reference_save_report, report)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_hard(60, 4),
+        lambda: generate_synthetic(SynthParams(n=80, p=2.0, seed=5)),
+        lambda: encode_linearized(generate_mkp(30, 2, 0.5, seed=1), 0.37).qubo,
+    ], ids=["hard", "dense", "mkp-linearized"])
+    def test_generated_files(self, tmp_path, make):
+        q = make()
+        q_lin, order, report = extract_and_linearize(q)
+        self.same_bytes(tmp_path, save_qubo, reference_save_qubo, q)
+        self.same_bytes(tmp_path, save_qubo, reference_save_qubo, q_lin)
+        self.same_bytes(tmp_path, save_order, reference_save_order, order)
+        self.same_bytes(tmp_path, save_report, reference_save_report, report)
 
 
 class TestValueSemantics:
