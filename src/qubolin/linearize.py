@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ordering import OrderDag, extract_order_dense
-from .qubo import QuboMatrix, _as_assignment, _pair_keys, _save_rows
+from .qubo import QuboMatrix, _as_assignment, _pair_keys, _save_rows, _table
 
 __all__ = [
     "LinearizationReport",
@@ -26,6 +26,13 @@ __all__ = [
     "undo_linearization",
     "save_report",
 ]
+
+_REMOVED = (
+    "report",
+    "report entry must be (src, dst, coef), got {!r}",
+    "report entry {!r}: indices must be integers",
+    "report entry {!r}: coef must be a number",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,12 +50,10 @@ class LinearizationReport:
     coef: np.ndarray
 
     def __post_init__(self):
-        columns = {"src": np.int64, "dst": np.int64, "coef": np.float64}
-        arrays = [np.array(getattr(self, name), dtype=dtype) for name, dtype in columns.items()]
-        shapes = [a.shape for a in arrays]
-        if len(shapes[0]) != 1 or len(set(shapes)) != 1:
-            raise ValueError(f"report columns must be 1-D of one length, got shapes {shapes}")
-        for name, arr in zip(columns, arrays):
+        columns = _table(_REMOVED, columns=(self.src, self.dst, self.coef))
+        for name, arr, dtype in zip(("src", "dst", "coef"), columns, (np.int64, np.int64, np.float64)):
+            # the report owns a copy; on an object column (indices beyond int64) this overflows
+            arr = np.array(arr, dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -86,7 +91,12 @@ def linearize(q: QuboMatrix, g: OrderDag) -> tuple[QuboMatrix, LinearizationRepo
     if not moved.size:
         return q, report
     diag = q._diag.copy()
-    np.add.at(diag, report.src, report.coef)
+    with np.errstate(over="ignore"):
+        np.add.at(diag, report.src, report.coef)
+    over = np.flatnonzero(np.isinf(diag))
+    if over.size:
+        k = over[0]
+        raise ValueError(f"linearized diagonal at ({k}, {k}) is not finite: {float(diag[k])!r}")
     keep = q.rows != q.cols
     keep[pos[moved]] = False
     rows, cols, vals = q.rows[keep], q.cols[keep], q.vals[keep]

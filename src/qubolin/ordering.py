@@ -13,15 +13,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import LimitError
-from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes, _pair_keys, _save_rows
+from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes, _pair_keys, _save_rows, _table
 
 __all__ = [
     "OrderDag",
@@ -50,6 +48,9 @@ _TAIL_BUDGET = 32768
 # verifies dense n = 150 orders a little faster but with 13 MiB more memory.
 _SCORE_BLOCK = 1 << 16
 
+_EDGE_ENTRY = "edge entry must be a pair of integers (i, j), got {!r}"
+_EDGES = ("edge", _EDGE_ENTRY, _EDGE_ENTRY, None)
+
 
 @dataclass(frozen=True, eq=False)
 class OrderDag:
@@ -57,17 +58,18 @@ class OrderDag:
 
     Edge ``(i, j)`` means "x_i = 1 implies x_j = 1"; ``edges`` is a read-only
     ``(m, 2)`` int64 array, built from pairs of Python ints or an integer
-    ``(m, 2)`` array.  Construction rejects other entries and shapes,
-    self-loops, out-of-range indices, duplicates and two-cycles; acyclicity
-    beyond that is checked by :func:`verify_order`, not here, so orders read
-    from untrusted files stay representable.
+    ``(m, 2)`` array.  Construction rejects other entries and shapes, a
+    variable count not an ``int >= 0``, self-loops, out-of-range indices,
+    duplicates and two-cycles; acyclicity beyond that is checked by
+    :func:`verify_order`, not here, so orders read from untrusted files stay
+    representable.
     """
 
     n: int
     edges: np.ndarray
 
     def __post_init__(self):
-        arr = _edge_array(self.edges)
+        arr = np.stack(_table(_EDGES, self.edges, n=self.n), axis=1)
         bad = np.flatnonzero(arr[:, 0] == arr[:, 1])
         if bad.size:
             raise ValueError(f"self-loop edge {tuple(arr[bad[0]].tolist())}")
@@ -92,33 +94,6 @@ class OrderDag:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-
-def _edge_array(edges) -> np.ndarray:
-    """A new ``(m, 2)`` array of the entries of ``edges``, whose types are checked."""
-    if isinstance(edges, np.ndarray):
-        if edges.size and edges.dtype.kind not in "iu":
-            raise ValueError(f"edge array must hold integers, got dtype {edges.dtype}")
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError(f"edge array must have shape (m, 2), got {edges.shape}")
-        return edges.copy()
-    if not edges:
-        return np.empty((0, 2), dtype=np.int64)
-    # column-wise exact type tests, as in QuboMatrix.from_json_dict; on a
-    # failure, name the first faulty entry
-    ok = set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {2}
-    if ok:
-        src, dst = (list(map(itemgetter(k), edges)) for k in range(2))
-        ok = set(map(type, chain(src, dst))) == {int}
-    if not ok:
-        for e in edges:
-            if type(e) not in (tuple, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-                raise ValueError(f"edge entry must be a pair of integers (i, j), got {e!r}")
-    try:
-        return np.stack([np.fromiter(col, np.int64, len(col)) for col in (src, dst)], axis=1)
-    except OverflowError:
-        # indices beyond int64 give an object array, which the range checks reject
-        return np.array(edges)
 
 
 def _reversed_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -404,7 +379,7 @@ def load_order(path: str | Path) -> OrderDag:
         raw = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"order JSON must contain 'n' and 'edges': {exc}") from exc
-    # exact type tests, as in QuboMatrix.from_json_dict
+    # exact type tests: isinstance would take JSON booleans for integers
     if type(n) is not int or n < 0:
         raise ValueError(f"'n' must be a nonnegative integer, got {n!r}")
     if type(raw) is not list:

@@ -238,7 +238,7 @@ def qubo_with_symmetric_block(rng: np.random.Generator, n: int, block: list[int]
         terms.pop((a, b), None)
         if intra:
             terms[(a, b)] = float(intra)
-    return QuboMatrix(n, terms)
+    return QuboMatrix.from_entries(n, [(i, j, v) for (i, j), v in terms.items()])
 
 
 def reference_save_qubo(q: QuboMatrix, path) -> None:

@@ -240,6 +240,16 @@ class TestMalformedJson:
         assert code == 3
         assert "[0.9, 1.5]" in err and "pair of integers" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("terms, message", [
+        ([[0, 1, 1e308], [1, 0, 1e308]], "coefficient at (0, 1) is not finite once folded: inf"),
+        ([[0, 0, 1e308], [0, 1, 1e308], [1, 1, 1e308]], "linearized diagonal at (0, 0) is not finite: inf"),
+    ], ids=["folded-mirror", "linearized-diagonal"])
+    def test_sum_overflowing_to_infinity(self, tmp_path, capsys, terms, message):
+        code, err = self._linearize(tmp_path, capsys, json.dumps({"n": 2, "terms": terms}))
+        assert code == 3
+        assert message in err
+
 
 class TestDenseMemoryLimit:
     @pytest.fixture
@@ -335,16 +345,14 @@ def test_non_finite_or_oversized_parameter_exits_three(tmp_path, capsys, example
 
 
 class TestNoTermsOnHotPaths:
-    """The CLI commands work on the arrays: they never build ``QuboMatrix.terms``
-    and never build a matrix from a tuple-keyed dict."""
+    """The CLI commands work on the arrays: they never build ``QuboMatrix.terms``."""
 
     @pytest.fixture(autouse=True)
     def forbid_terms(self, monkeypatch):
-        def fail(self, *args):
-            raise AssertionError("QuboMatrix.terms or QuboMatrix(n, terms) on a hot path")
+        def fail(self):
+            raise AssertionError("QuboMatrix.terms on a hot path")
 
         monkeypatch.setattr(QuboMatrix, "terms", property(fail))
-        monkeypatch.setattr(QuboMatrix, "__init__", fail)
 
     def test_order_and_linearize(self, tmp_path):
         q = generate_synthetic(SynthParams(n=40, p=2.0, seed=3))
@@ -473,7 +481,7 @@ class TestSolve:
 
     def test_brute_size_limit_exits_four(self, tmp_path):
         big = tmp_path / "big.json"
-        save_qubo(QuboMatrix(27, {}), big)
+        save_qubo(QuboMatrix.from_entries(27, []), big)
         out = tmp_path / "samples.json"
         assert main(["solve", "--in", str(big), "--method", "brute", "--out", str(out)]) == 4
 

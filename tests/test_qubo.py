@@ -31,6 +31,7 @@ from qubolin import (
     save_qubo,
     symmetric_coefficient,
 )
+from qubolin.cli import main
 from qubolin.linearize import save_report
 from qubolin.ordering import save_order
 from qubolin.qubo import INDEX_LIMIT
@@ -47,11 +48,11 @@ class TestEnergy:
         assert energy(example_q, (0, 0, 0)) == 0
 
     def test_empty_matrix(self):
-        q = QuboMatrix(3, {})
+        q = QuboMatrix.from_entries(3, [])
         assert energy(q, (1, 0, 1)) == 0
 
     def test_zero_variables_is_legal(self):
-        q = QuboMatrix(0, {})
+        q = QuboMatrix.from_entries(0, [])
         assert energy(q, ()) == 0
 
     def test_dimension_mismatch(self, example_q):
@@ -78,7 +79,7 @@ class TestOdCount:
         assert od_count(example_q_linearized) == 1
 
     def test_empty(self):
-        assert od_count(QuboMatrix(4, {})) == 0
+        assert od_count(QuboMatrix.from_entries(4, [])) == 0
 
     def test_diagonal_only(self):
         q = QuboMatrix.from_entries(3, [(0, 0, 1), (2, 2, -4)])
@@ -158,14 +159,6 @@ class TestCanonicalization:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             QuboMatrix.from_entries(2, [(0, 2, 1)])
-
-    def test_constructor_enforces_upper_triangle(self):
-        with pytest.raises(ValueError):
-            QuboMatrix(3, {(2, 1): 1.0})
-
-    def test_constructor_rejects_explicit_zero(self):
-        with pytest.raises(ValueError):
-            QuboMatrix(3, {(0, 1): 0.0})
 
 
 entry_lists = st.lists(
@@ -388,16 +381,117 @@ class TestWriterOracle:
 class TestValueSemantics:
     def test_equal_and_hashed_by_contents(self):
         a = QuboMatrix.from_entries(3, [(2, 2, -1), (1, 0, 2)])
-        b = QuboMatrix(3, {(2, 2): -1.0, (0, 1): 2.0})
+        b = QuboMatrix.from_entries(3, [(2, 2, -1.0), (0, 1, 2.0)])
         assert a == b and hash(a) == hash(b)
-        assert a != QuboMatrix(4, {(2, 2): -1.0, (0, 1): 2.0})
+        assert a != QuboMatrix.from_entries(4, [(2, 2, -1.0), (0, 1, 2.0)])
         assert list(b.terms) == [(0, 1), (2, 2)]
 
     def test_immutable(self):
-        q = QuboMatrix(3, {(0, 1): 2.0})
+        q = QuboMatrix.from_entries(3, [(0, 1, 2.0)])
         with pytest.raises(TypeError):
             q.terms[(0, 0)] = 1.0
         with pytest.raises(AttributeError):
             q.n = 4
         with pytest.raises(ValueError):
             q.vals[0] = 5.0
+
+    def test_built_from_entries_or_arrays_only(self):
+        with pytest.raises(TypeError):
+            QuboMatrix(3, {})
+        q = QuboMatrix.from_entries(3, [(1, 0, 2.0)])
+        assert repr(q) == "QuboMatrix(n=3, rows=array([0]), cols=array([1]), vals=array([2.]))"
+
+
+# Malformed table entries, each with the text of its faulty item
+_BAD_INDEX = [
+    pytest.param((0, 1.7, 2.0), "1.7", id="float-index"),
+    pytest.param((True, 1, 1.0), "True", id="bool-index"),
+    pytest.param(("0", 1, 1.0), "'0'", id="string-index"),
+    pytest.param((0.5, 1.9, "2"), "0.5", id="float-index-string-value"),
+]
+_BAD_VALUE = [
+    pytest.param((0, 1, "2.5"), "'2.5'", id="string-value"),
+    pytest.param((0, 1, True), "True", id="bool-value"),
+    pytest.param((0, 1, None), "None", id="null-value"),
+]
+# index arrays of a non-integer dtype, one row per entry; every entry is
+# faulty, so the first is named
+_BAD_ARRAYS = [
+    pytest.param(np.array([[0, 2], [0.5, 1]]), "(0.0, 2.0", id="float"),
+    pytest.param(np.array([[True, False]]), "(True, False", id="bool"),
+    pytest.param(np.array([["0", "1"]]), "('0', '1'", id="string"),
+]
+_BAD_COUNTS = [pytest.param(n, repr(n), id=f"n={n!r}") for n in (True, 2.5, -3, "3")]
+
+
+class TestMalformedEntries:
+    """One corpus of malformed entries through the seven entry paths: the
+    QUBO from entries, from arrays and from its file; the order from pairs,
+    from an array and from its file; and the report.  Each raises a
+    ValueError that names the entry, and a file holding one exits 3."""
+
+    @staticmethod
+    def rejects(named, make, *args):
+        with pytest.raises(ValueError) as err:
+            make(*args)
+        assert named in str(err.value)
+
+    @staticmethod
+    def exits_three(tmp_path, capsys, named, qubo, order=None):
+        argv = ["linearize", "--in", str(tmp_path / "q.json"), "--out", str(tmp_path / "out.json")]
+        (tmp_path / "q.json").write_text(json.dumps(qubo))
+        if order is not None:
+            (tmp_path / "order.json").write_text(json.dumps(order))
+            argv += ["--order", str(tmp_path / "order.json"), "--no-verify"]
+        assert main(argv) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("entry, named", _BAD_INDEX + _BAD_VALUE)
+    def test_qubo_from_entries(self, entry, named):
+        self.rejects(named, QuboMatrix.from_entries, 3, [(0, 2, 1.0), entry])
+
+    @pytest.mark.parametrize("entry, named", _BAD_INDEX + _BAD_VALUE)
+    def test_qubo_from_arrays(self, entry, named):
+        self.rejects(named, QuboMatrix.from_arrays, 3, *(np.array([x]) for x in entry))
+        self.rejects(named, QuboMatrix.from_arrays, 3, *([0, x] for x in entry))
+
+    @pytest.mark.parametrize("arr, named", _BAD_ARRAYS)
+    def test_qubo_from_index_arrays(self, arr, named):
+        self.rejects(named, QuboMatrix.from_arrays, 3, arr[:, 0], arr[:, 1], np.ones(len(arr)))
+
+    @pytest.mark.parametrize("entry, named", _BAD_INDEX + _BAD_VALUE)
+    def test_qubo_file(self, tmp_path, capsys, entry, named):
+        self.exits_three(tmp_path, capsys, named, {"n": 3, "terms": [[0, 2, 1.0], list(entry)]})
+
+    @pytest.mark.parametrize("entry, named", _BAD_INDEX)
+    def test_order_from_pairs(self, entry, named):
+        self.rejects(named, OrderDag, 3, [(0, 2), entry[:2]])
+
+    @pytest.mark.parametrize("arr, named", _BAD_ARRAYS)
+    def test_order_from_array(self, arr, named):
+        self.rejects(named, OrderDag, 3, arr)
+
+    @pytest.mark.parametrize("entry, named", _BAD_INDEX)
+    def test_order_file(self, tmp_path, capsys, entry, named):
+        self.exits_three(
+            tmp_path, capsys, named, {"n": 3, "terms": []}, {"n": 3, "edges": [[0, 2], list(entry[:2])]}
+        )
+
+    @pytest.mark.parametrize("entry, named", _BAD_INDEX + _BAD_VALUE)
+    def test_report(self, entry, named):
+        self.rejects(named, LinearizationReport, *([0, x] for x in entry))
+        self.rejects(named, LinearizationReport, *(np.array([x]) for x in entry))
+
+    @pytest.mark.parametrize("arr, named", _BAD_ARRAYS)
+    def test_report_from_index_arrays(self, arr, named):
+        self.rejects(named, LinearizationReport, arr[:, 0], arr[:, 1], np.ones(len(arr)))
+
+    @pytest.mark.parametrize("n, named", _BAD_COUNTS)
+    def test_variable_count(self, tmp_path, capsys, n, named):
+        self.rejects(named, QuboMatrix.from_entries, n, [(0, 1, 1.0)])
+        self.rejects(named, QuboMatrix.from_arrays, n, np.array([0]), np.array([1]), np.array([1.0]))
+        self.rejects(named, OrderDag, n, [(0, 1)])
+        self.rejects(named, OrderDag, n, np.array([[0, 1]]))
+        self.exits_three(tmp_path, capsys, named, {"n": n, "terms": [[0, 1, 1.0]]})
+        self.exits_three(tmp_path, capsys, named, {"n": 3, "terms": []}, {"n": n, "edges": [[0, 1]]})

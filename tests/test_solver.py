@@ -43,7 +43,7 @@ class TestBruteForce:
         assert count == 2  # bit 2 is free
 
     def test_empty_problem(self):
-        assert brute_force(QuboMatrix(0, {})) == (0, (), 1)
+        assert brute_force(QuboMatrix.from_entries(0, [])) == (0, (), 1)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(70)
@@ -58,7 +58,7 @@ class TestBruteForce:
 
     def test_size_limit(self):
         with pytest.raises(LimitError):
-            brute_force(QuboMatrix(27, {}))
+            brute_force(QuboMatrix.from_entries(27, []))
 
     def test_crosses_block_boundary(self):
         # n > 18 exercises the high/low split; pin the optimum on a high bit
@@ -172,12 +172,12 @@ class TestAnnealOracle:
         assert_matches_reference(*case)
 
     @pytest.mark.parametrize("q", [
-        QuboMatrix(0, {}),
+        QuboMatrix.from_entries(0, []),
         QuboMatrix.from_entries(1, [(0, 0, -1.5)]),
         QuboMatrix.from_entries(2, [(0, 0, 3), (0, 1, -4), (1, 1, 2)]),
         QuboMatrix.from_entries(4, [(0, 0, -2.25), (1, 1, 0.5), (3, 3, 7)]),
         # every flip of the zero matrix has delta 0.0 or -0.0
-        QuboMatrix(3, {}),
+        QuboMatrix.from_entries(3, []),
         # x_1 = 1 puts the field of x_0 at exactly 0.0
         QuboMatrix.from_entries(3, [(0, 0, -2), (0, 1, 2), (1, 1, 1), (1, 2, -1), (2, 2, 1)]),
     ])
@@ -223,11 +223,11 @@ class TestLocalMinima:
         assert count_local_minima(example_q_linearized) == 1
 
     def test_flat_landscape_is_all_minima(self):
-        assert count_local_minima(QuboMatrix(4, {})) == 16
+        assert count_local_minima(QuboMatrix.from_entries(4, [])) == 16
 
     def test_size_limit(self):
         with pytest.raises(LimitError):
-            count_local_minima(QuboMatrix(23, {}))
+            count_local_minima(QuboMatrix.from_entries(23, []))
 
     def test_against_flip_delta_census(self):
         from qubolin import flip_delta
