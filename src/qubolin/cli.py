@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 validation or verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -277,7 +278,12 @@ def _timing_classes(text: str) -> list[str]:
     return labels
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building its 14 parsers
+    costs milliseconds, and parsing leaves it unchanged.  The command
+    functions look library names up when they run, so a name patched in this
+    module after the build still takes effect."""
     parser = argparse.ArgumentParser(
         prog="qubolin",
         description="Optimum-preserving ordering and linearization of QUBO problems",

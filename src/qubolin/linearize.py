@@ -51,8 +51,12 @@ class LinearizationReport:
 
     def __post_init__(self):
         columns = _table(_REMOVED, columns=(self.src, self.dst, self.coef))
+        src, dst, coef = columns
+        if src.dtype == object:
+            t = int(np.argmax((src < -(2**63)) | (src >= 2**63) | (dst < -(2**63)) | (dst >= 2**63)))
+            raise ValueError(f"report entry {(src[t], dst[t], float(coef[t]))!r}: index beyond int64")
         for name, arr, dtype in zip(("src", "dst", "coef"), columns, (np.int64, np.int64, np.float64)):
-            # the report owns a copy; on an object column (indices beyond int64) this overflows
+            # the report owns a copy
             arr = np.array(arr, dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

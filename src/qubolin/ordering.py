@@ -48,6 +48,12 @@ _TAIL_BUDGET = 32768
 # verifies dense n = 150 orders a little faster but with 13 MiB more memory.
 _SCORE_BLOCK = 1 << 16
 
+# A pair (i, j) with deg(i) + deg(j) below this share of n is light: it is
+# scored over its neighbours alone, and any other pair over dense coupling
+# rows.  Per pair, the first kernel costs about as much as the second where
+# deg(i) + deg(j) is 0.15-0.2 n (random inputs, n = 200-3000).
+_LIGHT_SHARE = 0.15
+
 _EDGE_ENTRY = "edge entry must be a pair of integers (i, j), got {!r}"
 _EDGES = ("edge", _EDGE_ENTRY, _EDGE_ENTRY, None)
 
@@ -114,15 +120,28 @@ def _scan_order(n: int, src: np.ndarray, dst: np.ndarray) -> OrderDag:
     return OrderDag(n, np.stack([src[keep], dst[keep]], axis=1))
 
 
-def _coupling_rows(q: QuboMatrix, nodes: np.ndarray) -> np.ndarray:
-    """Dense coupling rows of ``nodes``: ``a_vk`` at k != v, zero at k = v."""
-    n = q.n
+def _degrees(q: QuboMatrix, nodes: np.ndarray) -> np.ndarray:
+    """Number of couplings of each variable in ``nodes``."""
+    indptr = q._csr[0]
+    return indptr[nodes + 1] - indptr[nodes]
+
+
+def _neighbours(q: QuboMatrix, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(t, k, a)``: every neighbour ``k[e]`` of ``nodes[t[e]]`` with its
+    coupling ``a[e]``, by ascending t and then k."""
     indptr, indices, data = q._csr
     starts = indptr[nodes]
     lens = indptr[nodes + 1] - starts
     pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return np.repeat(np.arange(nodes.size), lens), indices[pos], data[pos]
+
+
+def _coupling_rows(q: QuboMatrix, nodes: np.ndarray) -> np.ndarray:
+    """Dense coupling rows of ``nodes``: ``a_vk`` at k != v, zero at k = v."""
+    n = q.n
+    t, k, a = _neighbours(q, nodes)
     rows = np.zeros((nodes.size, n))
-    rows.reshape(-1)[np.repeat(np.arange(0, nodes.size * n, n), lens) + indices[pos]] = data[pos]
+    rows.reshape(-1)[t * n + k] = a
     return rows
 
 
@@ -141,8 +160,67 @@ def _node_groups(q: QuboMatrix, nodes: np.ndarray, pairs: np.ndarray, step: int)
         yield pairs[group], _coupling_rows(q, distinct[g * step : (g + 1) * step]), rank[group] - g * step
 
 
+def _is_light(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Which pairs ``(src[t], dst[t])`` :func:`_pair_scores` scores over their neighbours alone."""
+    return _degrees(q, src) + _degrees(q, dst) < _LIGHT_SHARE * q.n
+
+
 def _pair_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Exact admission scores of the directed pairs ``(src[t], dst[t])``.
+    """Exact admission scores of the directed pairs ``(src[t], dst[t])``:
+    light pairs (:func:`_is_light`) by :func:`_support_scores`, the others by
+    :func:`_row_scores`.
+
+    On integer coefficients both kernels give bit-identical scores; on
+    others the two sum in different orders, so a score can differ in its
+    last bits.
+    """
+    light = _is_light(q, src, dst)
+    scores = np.empty(src.size)
+    for kernel, part in ((_support_scores, light), (_row_scores, ~light)):
+        if part.any():
+            scores[part] = kernel(q, src[part], dst[part])
+    return scores
+
+
+def _support_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Scores of the pairs ``(src[t], dst[t])`` over their neighbours alone.
+
+    Only the columns k in N(i) or N(j) add to the score of (i, j): the term
+    is ``max(0, a_jk - a_ik)`` at k in N(j) and ``max(0, -a_ik)`` at k in
+    N(i) but not in N(j), with k = i and k = j left out.  The entries of
+    N(j) and N(i) are merged by the key ``t * n + k``, a column in both
+    folds to ``a_jk - a_ik``, and ``np.bincount`` sums the positive parts
+    per pair.  A neighbour entry holds about four times the memory of a
+    dense value, so pairs go in chunks of about ``_SCORE_BLOCK // 4``
+    entries.  Time is O((deg(i) + deg(j)) * log(deg(i) + deg(j))) per pair.
+    """
+    n = q.n
+    scores = q._diag[dst] - q._diag[src]
+    work = _degrees(q, src) + _degrees(q, dst)
+    chunk = (np.cumsum(work) - work) // (_SCORE_BLOCK // 4)
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), src.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        i, j = src[lo:hi], dst[lo:hi]
+        t, k_j, a_jk = _neighbours(q, j)
+        u, k_i, a_ik = _neighbours(q, i)
+        # column i sits in N(j) only and column j in N(i) only
+        a_jk[k_j == i[t]] = 0.0
+        a_ik[k_i == j[u]] = 0.0
+        t, a = np.concatenate([t, u]), np.concatenate([a_jk, -a_ik])
+        key = t * n + np.concatenate([k_j, k_i])
+        # both halves ascend, so the stable sort merges two runs; a column in
+        # both comes twice in a row, a_jk first, and folds to a_jk + (-a_ik)
+        order = np.argsort(key, kind="stable")
+        key, t, a = key[order], t[order], a[order]
+        twice = np.flatnonzero(key[1:] == key[:-1])
+        a[twice] += a[twice + 1]
+        a[twice + 1] = 0.0
+        scores[lo:hi] += np.bincount(t, np.maximum(a, 0.0, out=a), minlength=hi - lo)
+    return scores
+
+
+def _row_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Scores of the pairs ``(src[t], dst[t])`` over dense coupling rows.
 
     With ``step = _SCORE_BLOCK // n``, pairs are grouped into cells of at
     most ``step`` sources times ``step`` targets, whose dense coupling rows
@@ -285,31 +363,33 @@ def extract_order_sparse(q: QuboMatrix) -> OrderDag:
     """Extract a certified order examining only coupled pairs.
 
     Every directed pair ``(i, j)`` joined by a quadratic term that passes
-    the guard ``Q_jj <= Q_ii`` gets the first-columns lower bound of its
-    score, chunk by chunk of the couplings; the pairs it does not reject
-    are scored exactly.  The row-major scan's reverse-edge rule then drops
-    ``(i, j)`` with ``j < i`` whenever ``(j, i)`` was admitted too, and
-    edges come out in row-major order, so the result equals
+    the guard ``Q_jj <= Q_ii`` is scored exactly.  Light pairs (see
+    :func:`_pair_scores`) go straight to the exact score; a heavy pair first
+    gets the first-columns lower bound, chunk by chunk, and only the pairs
+    it does not reject are scored.  The row-major scan's reverse-edge rule
+    then drops ``(i, j)`` with ``j < i`` whenever ``(j, i)`` was admitted
+    too, and edges come out in row-major order, so the result equals
     :func:`extract_order_dense` restricted to coupled pairs, in the same
-    sequence.  Time is O(coupled pairs * _FIRST_CHUNK + surviving pairs *
-    n).  No n x n array is allocated: beyond the surviving pairs, memory
-    stays within a few ``_SCORE_BLOCK`` budgets.
+    sequence.  Time is O(couplings * degree) on sparse input, and
+    O(heavy pairs * _FIRST_CHUNK + surviving heavy pairs * n) for the rest.
+    No n x n array is allocated: beyond the coupled pairs, memory stays
+    within a few ``_SCORE_BLOCK`` budgets.
     """
     n = q.n
     _check_bytes("first-columns slab", n, 8 * n * (min(_FIRST_CHUNK, n) + 1))
-    indptr, indices, _ = q._csr
-    slab = _first_columns_slab(q)
-    step = max(1, _SCORE_BLOCK // slab.shape[1])
-    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo in range(0, indices.size, step):
-        s = np.searchsorted(indptr, np.arange(lo, min(lo + step, indices.size)), side="right") - 1
-        d = indices[lo : lo + step]
-        guard = q._diag[d] <= q._diag[s]
-        s, d = s[guard], d[guard]
-        alive = _first_columns_bound(q, slab, s, d) <= 0.0
-        src.append(s[alive])
-        dst.append(d[alive])
-    src, dst = np.concatenate(src), np.concatenate(dst)
+    indptr, dst, _ = q._csr
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    guard = q._diag[dst] <= q._diag[src]
+    src, dst = src[guard], dst[guard]
+    heavy = np.flatnonzero(~_is_light(q, src, dst))
+    if heavy.size:
+        slab = _first_columns_slab(q)
+        step = max(1, _SCORE_BLOCK // slab.shape[1])
+        alive = np.ones(src.size, dtype=bool)
+        for lo in range(0, heavy.size, step):
+            t = heavy[lo : lo + step]
+            alive[t] = _first_columns_bound(q, slab, src[t], dst[t]) <= 0.0
+        src, dst = src[alive], dst[alive]
     admitted = _pair_scores(q, src, dst) <= 0.0
     return _scan_order(n, src[admitted], dst[admitted])
 

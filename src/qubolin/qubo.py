@@ -119,9 +119,19 @@ def _table(form: tuple, entries=None, columns=None, n=None) -> list[np.ndarray]:
             raise ValueError(value.format(e))
     typed = list(zip(columns, (np.int64, np.int64, np.float64)))
     try:
-        return [c.astype(d, copy=False) if isinstance(c, np.ndarray) else np.fromiter(c, d, len(c)) for c, d in typed]
+        return [_typed_column(c, d) for c, d in typed]
     except OverflowError:
         return [np.array(c, dtype=object if d is np.int64 else d) for c, d in typed]
+
+
+def _typed_column(col, dtype) -> np.ndarray:
+    """``col`` as a ``dtype`` array; OverflowError for an index beyond int64."""
+    if not isinstance(col, np.ndarray):
+        return np.fromiter(col, dtype, len(col))
+    # astype would wrap a uint64 index of 2**63 or more to a negative one
+    if dtype is np.int64 and col.dtype.kind == "u" and col.size and col.max() > np.iinfo(np.int64).max:
+        raise OverflowError(f"index {col.max()} beyond int64")
+    return col.astype(dtype, copy=False)
 
 
 def _canonical(n: int, entries=None, columns=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

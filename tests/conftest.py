@@ -212,6 +212,20 @@ def random_integer_qubo(rng: np.random.Generator, n: int, density: float = 0.5,
     return QuboMatrix.from_entries(n, entries)
 
 
+def sparse_integer_qubo(rng: np.random.Generator, n: int, degree: int = 10) -> QuboMatrix:
+    """Random sparse matrix with about ``degree`` couplings per variable:
+    ``n * degree / 2`` distinct pairs, couplings in [1, 10] and diagonals in
+    [-60, -1], as in the benchmark's sparse workload."""
+    pairs = n * degree // 2
+    i, j = rng.integers(0, n, size=(2, 2 * pairs))
+    key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    key = rng.permutation(key[key // n != key % n])[:pairs]
+    rows = np.concatenate([key // n, np.arange(n)])
+    cols = np.concatenate([key % n, np.arange(n)])
+    vals = np.concatenate([rng.integers(1, 11, size=key.size), rng.integers(-60, 0, size=n)])
+    return QuboMatrix.from_arrays(n, rows, cols, vals.astype(np.float64))
+
+
 def qubo_with_symmetric_block(rng: np.random.Generator, n: int, block: list[int]) -> QuboMatrix:
     """Random matrix where the given variables are mutually interchangeable.
 

@@ -198,6 +198,20 @@ class TestPipeline:
         assert load_qubo(out) == encode_linearized(inst, 8.0).qubo
 
 
+class TestParserBuiltOnce:
+    def test_one_parser_and_patched_names_still_run(self, tmp_path, example_file, monkeypatch):
+        # commands look library names up in the cli module when they run, so
+        # a patch made after the one parser was built still takes effect
+        parser = build_parser()
+        calls = []
+        real = cli.extract_order_sparse
+        monkeypatch.setattr(cli, "extract_order_sparse", lambda q: calls.append(q.n) or real(q))
+        for _ in range(2):
+            assert main(["order", "--sparse", "--in", str(example_file), "--out", str(tmp_path / "o.json")]) == 0
+        assert calls == [3, 3]
+        assert build_parser() is parser and build_parser.cache_info().misses == 1
+
+
 class TestMalformedJson:
     """Malformed QUBO and order files exit 3 with a message naming the item."""
 

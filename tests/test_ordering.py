@@ -1,14 +1,16 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     qubo_with_symmetric_block,
     random_integer_qubo,
     reference_extraction,
     reference_score,
+    sparse_integer_qubo,
 )
 from qubolin import (
     OrderDag,
@@ -197,6 +199,94 @@ class TestSparseExtraction:
         }
         assert sparse == dense_adjacent
         assert all(score_pair(q, i, j) <= 0 for i, j in sparse)
+
+
+def _kernel_corpus() -> list[QuboMatrix]:
+    """Random-density, hard and synthetic (p-grid) inputs with n = 2-69,
+    sparse n = 150, 500 and 2000, hard n = 150 and synthetic n = 200."""
+    rng = np.random.default_rng(61)
+    corpus = [random_integer_qubo(rng, int(rng.integers(2, 70)), density=float(rng.uniform(0.05, 1.0)))
+              for _ in range(40)]
+    corpus += [generate_hard(int(rng.integers(2, 70)), seed=k) for k in range(10)]
+    corpus += [generate_synthetic(SynthParams(int(rng.integers(2, 70)), p, seed=k))
+               for k, p in enumerate((0.1, 0.2, 0.5, 1.0, 1.5, 2.0))]
+    corpus += [sparse_integer_qubo(np.random.default_rng(n), n) for n in (150, 500, 2000)]
+    return corpus + [generate_hard(150, seed=1), generate_synthetic(SynthParams(200, 0.5, seed=1))]
+
+
+def _coupled_pairs(q: QuboMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Both orientations of every coupled pair, row-major."""
+    indptr, dst, _ = q._csr
+    return np.repeat(np.arange(q.n), np.diff(indptr)), dst
+
+
+class TestScoreKernels:
+    """The support kernel (light pairs) and the dense-row kernel (heavy
+    pairs) of ``_pair_scores`` are one score: forcing every pair through
+    either one changes no score bit and no edge on integer inputs."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return [(q, extract_order_sparse(q).edges.tolist(), ordering._pair_scores(q, *_coupled_pairs(q)))
+                for q in _kernel_corpus()]
+
+    @pytest.mark.parametrize("share", [0.0, np.inf], ids=["all-heavy", "all-light"])
+    def test_forced_kernel_keeps_scores_and_edges(self, monkeypatch, corpus, share):
+        monkeypatch.setattr(ordering, "_LIGHT_SHARE", share)
+        for q, edges, scores in corpus:
+            src, dst = _coupled_pairs(q)
+            assert np.all(ordering._is_light(q, src, dst) == (share > 0))
+            assert np.array_equal(ordering._pair_scores(q, src, dst), scores)
+            assert extract_order_sparse(q).edges.tolist() == edges
+
+    def test_corpus_takes_both_kernels(self, corpus):
+        light = [ordering._is_light(q, *_coupled_pairs(q)).mean() for q, _, _ in corpus if q.n > 100]
+        assert min(light) == 0.0 and max(light) == 1.0
+
+    @settings(deadline=None)
+    @given(st.integers(0, 14), st.integers(0, 3), st.floats(0.0, 1.0), st.integers(0, 10_000))
+    def test_kernels_agree_on_every_pair(self, n, isolated, density, seed):
+        # signed couplings, and `isolated` trailing variables without any term
+        base = random_integer_qubo(np.random.default_rng(seed), n, density=density, low=-6, high=6)
+        q = QuboMatrix.from_arrays(n + isolated, base.rows, base.cols, base.vals)
+        src, dst = (a.ravel() for a in np.meshgrid(np.arange(q.n), np.arange(q.n), indexing="ij"))
+        src, dst = src[src != dst], dst[src != dst]
+        light = ordering._support_scores(q, src, dst)
+        assert np.array_equal(light, ordering._row_scores(q, src, dst))
+        assert light.tolist() == [reference_score(q, i, j) for i, j in zip(src.tolist(), dst.tolist())]
+        edges = []
+        for share in (0.0, np.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ordering, "_LIGHT_SHARE", share)
+                edges.append(extract_order_sparse(q).edges.tolist())
+        assert edges[0] == edges[1]
+
+    def test_sparse_input_never_builds_dense_rows(self, monkeypatch):
+        q = sparse_integer_qubo(np.random.default_rng(62), 500)
+
+        def forbidden(q, nodes):
+            raise AssertionError("dense coupling rows built for a sparse input")
+
+        monkeypatch.setattr(ordering, "_coupling_rows", forbidden)
+        g = extract_order_sparse(q)
+        assert len(g) > 0 and find_order_violation(q, g) is None
+        src, dst = _coupled_pairs(q)
+        assert find_order_violation(q, OrderDag(q.n, np.stack([src, dst], axis=1)[src < dst])) is not None
+        assert score_pair(q, int(src[0]), int(dst[0])) == reference_score(q, int(src[0]), int(dst[0]))
+
+    def test_extraction_peak_memory(self):
+        # README: the peak stays within 4x the first-columns slab that the
+        # extraction's limit check counts, at about 10 couplings per variable
+        n = 5000
+        q = sparse_integer_qubo(np.random.default_rng(63), n)
+        counted = 8 * n * (ordering._FIRST_CHUNK + 1)
+        tracemalloc.start()
+        try:
+            extract_order_sparse(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * counted
 
 
 class TestVerifyOrder:

@@ -487,6 +487,18 @@ class TestMalformedEntries:
     def test_report_from_index_arrays(self, arr, named):
         self.rejects(named, LinearizationReport, arr[:, 0], arr[:, 1], np.ones(len(arr)))
 
+    def test_uint64_index_beyond_int64(self):
+        # an int64 cast would wrap 2**63 to -2**63; the errors quote the real index
+        big, small = np.array([2**63, 1], dtype=np.uint64), np.array([0, 2], dtype=np.uint64)
+        self.rejects("pair (9223372036854775808, 0) out of range for n=3", QuboMatrix.from_arrays, 3, big, small, [1, 2])
+        self.rejects("edge (0, 9223372036854775808) out of range for n=3", OrderDag, 3, np.stack([small, big], axis=1))
+        self.rejects("report entry (9223372036854775808, 0, 1.0): index beyond int64",
+                     LinearizationReport, big, small, [1.0, 2.0])
+        # below 2**63 a uint64 index array is read as int64
+        assert QuboMatrix.from_arrays(3, small, small[::-1], [1, 2]) == QuboMatrix.from_entries(3, [(0, 2, 3)])
+        assert OrderDag(3, np.array([[0, 2], [1, 2]], dtype=np.uint64)).edges.tolist() == [[0, 2], [1, 2]]
+        assert LinearizationReport(small, small[::-1], [1.0, 2.0]).src.dtype == np.int64
+
     @pytest.mark.parametrize("n, named", _BAD_COUNTS)
     def test_variable_count(self, tmp_path, capsys, n, named):
         self.rejects(named, QuboMatrix.from_entries, n, [(0, 1, 1.0)])
