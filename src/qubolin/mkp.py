@@ -13,16 +13,15 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import LimitError, ParseError
 from .linearize import linearize
 from .ordering import OrderDag
-from .qubo import QuboMatrix, _as_assignment, _check_bytes
+from .qubo import QuboMatrix, _as_assignment, _check_bytes, _integral, _typed_column
 from .solver import _bit_rows, _index_bits
 
 __all__ = [
@@ -53,53 +52,64 @@ ITEM_LIMIT = 1 << 31
 CAPACITY_LIMIT = 1 << 62
 
 
-@dataclass(frozen=True)
+# per field: the name of its entry and the upper end of its range
+_FIELDS = (("values", "value of item {}", ITEM_LIMIT), ("weights", "weight ({}, {})", ITEM_LIMIT),
+           ("capacities", "capacity {}", CAPACITY_LIMIT))
+
+
+@dataclass(frozen=True, eq=False)
 class MkpInstance:
     """Items with positive integer values, weights and capacities.
 
-    ``weights[k][i]`` is the weight of item ``i`` under constraint ``k``.
-    ``best_known`` is an externally supplied reference score, if any.
+    ``values`` (n,), ``weights`` (m, n) and ``capacities`` (m,) are read-only
+    int64 arrays, built from integer arrays or from (nested) sequences of
+    Python ints; other entries, such as floats, bools and strings, are
+    rejected.  ``weights[k, i]`` is the weight of item ``i`` under
+    constraint ``k``.  ``best_known`` is an externally supplied reference
+    score, if any.  Equality is identity: compare fields with ``np.array_equal``.
     """
 
-    values: tuple[int, ...]
-    weights: tuple[tuple[int, ...], ...]
-    capacities: tuple[int, ...]
+    values: np.ndarray
+    weights: np.ndarray
+    capacities: np.ndarray
     best_known: int | None = None
 
     def __post_init__(self):
-        if len(self.values) < 1:
+        given = [getattr(self, name) for name, _, _ in _FIELDS]
+        v, w, c = (a if isinstance(a, np.ndarray) else np.array(a, dtype=object) for a in given)
+        if v.ndim != 1 or c.ndim != 1:
+            raise ValueError(f"values and capacities must be 1-D, got shapes {v.shape} and {c.shape}")
+        if v.size < 1:
             raise ValueError("instance needs at least one item")
-        if len(self.weights) < 1 or len(self.weights) != len(self.capacities):
+        if w.ndim < 1 or len(w) < 1 or len(w) != c.size:
             raise ValueError("need one weight row per capacity")
-        for row in self.weights:
-            if len(row) != len(self.values):
-                raise ValueError("weight rows must have one entry per item")
-        for i, v in enumerate(self.values):
-            if not 1 <= v < ITEM_LIMIT:
-                raise ValueError(f"value of item {i} is {v}, outside 1..{ITEM_LIMIT - 1}")
-        for k, row in enumerate(self.weights):
-            for i, w in enumerate(row):
-                if not 1 <= w < ITEM_LIMIT:
-                    raise ValueError(f"weight ({k}, {i}) is {w}, outside 1..{ITEM_LIMIT - 1}")
-        for k, c in enumerate(self.capacities):
-            if not 1 <= c < CAPACITY_LIMIT:
-                raise ValueError(f"capacity {k} is {c}, outside 1..{CAPACITY_LIMIT - 1}")
+        if w.shape != (c.size, v.size):
+            raise ValueError("weight rows must have one entry per item")
+        for (name, entry, limit), arr in zip(_FIELDS, (v, w, c)):
+            # exact types: np.array(..., dtype=object) keeps a bool or a float as given
+            if not _integral(arr.ravel().tolist() if arr.dtype == object else arr):
+                t = next(i for i, x in enumerate(arr.flat) if type(x) is not int)
+                raise ValueError(f"{entry.format(*np.unravel_index(t, arr.shape))} is {arr.item(t)!r}, not an integer")
+            try:
+                arr = _typed_column(arr, np.int64)
+            except OverflowError:
+                arr = arr.astype(object)
+            bad = np.flatnonzero((arr < 1) | (arr >= limit))
+            if bad.size:
+                where = np.unravel_index(bad[0], arr.shape)
+                raise ValueError(f"{entry.format(*where)} is {arr.item(bad[0])}, outside 1..{limit - 1}")
+            # the instance owns a copy
+            arr = arr.astype(np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     @property
     def m(self) -> int:
-        return len(self.capacities)
-
-    @cached_property
-    def _w(self) -> np.ndarray:
-        return np.array(self.weights, dtype=np.int64)
-
-    @cached_property
-    def _v(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int64)
+        return self.capacities.size
 
 
 @dataclass(frozen=True)
@@ -209,8 +219,7 @@ def parse_orlib(text: str | bytes) -> list[MkpInstance]:
 def serialize_orlib(instances: Sequence[MkpInstance]) -> str:
     """Render instances in the same layout; unknown best-known scores become 0."""
 
-    def wrap(nums: Iterable[int]) -> str:
-        nums = list(nums)
+    def wrap(nums: list[int]) -> str:
         lines = []
         for start in range(0, len(nums), 15):
             lines.append(" ".join(str(v) for v in nums[start : start + 15]))
@@ -219,10 +228,7 @@ def serialize_orlib(instances: Sequence[MkpInstance]) -> str:
     parts = [str(len(instances))]
     for inst in instances:
         parts.append(f"{inst.n} {inst.m} {inst.best_known or 0}")
-        parts.append(wrap(inst.values))
-        for row in inst.weights:
-            parts.append(wrap(row))
-        parts.append(wrap(inst.capacities))
+        parts += map(wrap, (inst.values.tolist(), *inst.weights.tolist(), inst.capacities.tolist()))
     return "\n".join(parts) + "\n"
 
 
@@ -238,19 +244,15 @@ def generate_mkp(n: int, m: int, alpha: float, seed: int) -> MkpInstance:
         raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"tightness must lie in (0, 1), got alpha={alpha}")
-    _check_bytes(f"weights of m={m} constraints", n, 8 * m * n)
+    # the peak holds the weights twice (drawn, then the instance's copy) and three arrays of n
+    _check_bytes(f"weights of m={m} constraints", n, 8 * (2 * m + 3) * n)
     rng = np.random.default_rng(seed)
     w = rng.integers(1, 1000, size=(m, n), endpoint=True)
-    caps = [math.floor(alpha * int(w[k].sum())) for k in range(m)]
-    if any(c < 1 for c in caps):
+    caps = np.floor(alpha * w.sum(axis=1))
+    if (caps < 1).any():
         raise ValueError(f"alpha={alpha} yields an empty knapsack for n={n}")
-    q = rng.random(n)
-    values = [max(1, math.floor(int(w[:, i].sum()) / m + 500.0 * q[i])) for i in range(n)]
-    return MkpInstance(
-        tuple(values),
-        tuple(tuple(int(x) for x in w[k]) for k in range(m)),
-        tuple(caps),
-    )
+    values = np.floor(w.sum(axis=0) / m + 500.0 * rng.random(n))
+    return MkpInstance(np.maximum(values, 1).astype(np.int64), w, caps.astype(np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +275,7 @@ def slack_layout(capacity: int) -> tuple[int, ...]:
 def slack_blocks(inst: MkpInstance) -> tuple[SlackBlock, ...]:
     blocks = []
     offset = inst.n
-    for k, cap in enumerate(inst.capacities):
+    for k, cap in enumerate(inst.capacities.tolist()):
         weights = slack_layout(cap)
         blocks.append(SlackBlock(k, offset, weights))
         offset += len(weights)
@@ -290,13 +292,13 @@ def encode_qubo(inst: MkpInstance, lam: float) -> QuboEncoding:
     if not 0 < lam < math.inf:
         raise ValueError(f"penalty coefficient lambda must be positive and finite, got {lam}")
     blocks = slack_blocks(inst)
-    w = inst._w
+    w = inst.weights
     dec = np.arange(inst.n)
     # the decision and slack diagonals take Python arithmetic, exact on an integer lam;
     # a sum of m squared weights may pass 2**63
-    sq = [sum(x * x for x in col) for col in zip(*inst.weights)]
+    sq = [sum(x * x for x in col) for col in w.T.tolist()]
     rows, cols = [dec], [dec]
-    vals = [np.array([float(-v + lam * s) for v, s in zip(inst.values, sq)])]
+    vals = [np.array([float(-v + lam * s) for v, s in zip(inst.values.tolist(), sq)])]
     for block in blocks:
         st = np.array(block.weights, dtype=np.float64)
         y = block.offset + np.arange(block.bits)
@@ -328,8 +330,7 @@ def extract_mkp_order(inst: MkpInstance) -> OrderDag:
     breaks the two-cycles that mutual dominance would otherwise create.
     Runs in O(n^2 m).
     """
-    v = inst._v
-    w = inst._w
+    v, w = inst.values, inst.weights
     value_le = v[:, None] <= v[None, :]
     weight_ge = np.all(w[:, :, None] >= w[:, None, :], axis=0)
     dominated = value_le & weight_ge
@@ -364,9 +365,8 @@ def decode(enc: QuboEncoding, x: Sequence[int], inst: MkpInstance) -> DecodedSol
     arr = _as_assignment(enc.qubo.n, x)
     selection = tuple(int(b) for b in arr[: enc.n_decision])
     sel = np.array(selection, dtype=np.int64)
-    objective = int(inst._v @ sel)
-    loads = inst._w @ sel
-    excess = tuple(int(loads[k] - inst.capacities[k]) for k in range(inst.m))
+    objective = int(inst.values @ sel)
+    excess = tuple((inst.weights @ sel - inst.capacities).tolist())
     return DecodedSolution(selection, objective, all(e <= 0 for e in excess), excess)
 
 
@@ -385,15 +385,15 @@ def dp_knapsack_oracle(inst: MkpInstance) -> tuple[int, tuple[int, ...]]:
     """Exact optimum of a single-constraint instance by capacity-indexed DP."""
     if inst.m != 1:
         raise ValueError(f"DP oracle handles exactly one constraint, got m={inst.m}")
-    cap = inst.capacities[0]
+    cap = int(inst.capacities[0])
     if inst.n * (cap + 1) > DP_CELL_LIMIT:
         raise LimitError(
             f"DP table of {inst.n} x {cap + 1} cells exceeds the {DP_CELL_LIMIT} budget"
         )
     dp = np.zeros(cap + 1, dtype=np.int64)
     take = np.zeros((inst.n, cap + 1), dtype=bool)
-    weights = inst.weights[0]
-    for i, (v, w) in enumerate(zip(inst.values, weights)):
+    weights = inst.weights[0].tolist()
+    for i, (v, w) in enumerate(zip(inst.values.tolist(), weights)):
         if w > cap:
             continue
         shifted = dp[: cap + 1 - w] + v
@@ -416,9 +416,7 @@ def mkp_exact_oracle(inst: MkpInstance) -> tuple[int, tuple[int, ...]]:
             f"exhaustive oracle is limited to n <= {EXACT_ORACLE_MAX_N}, got n={inst.n}"
         )
     n = inst.n
-    w = inst._w.astype(np.float64)
-    v = inst._v.astype(np.float64)
-    caps = np.array(inst.capacities, dtype=np.float64)
+    w, v, caps = (a.astype(np.float64) for a in (inst.weights, inst.values, inst.capacities))
     best = 0
     best_index = 0
     block_bits = min(n, 18)

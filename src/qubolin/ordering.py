@@ -10,7 +10,6 @@ the other bits are.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import LimitError
-from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes, _pair_keys, _save_rows, _table
+from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes, _load_rows, _pair_keys, _save_rows, _table
 
 __all__ = [
     "OrderDag",
@@ -252,6 +251,7 @@ def _first_columns_slab(q: QuboMatrix) -> np.ndarray:
     :func:`_first_columns_bound`."""
     n = q.n
     w = min(_FIRST_CHUNK, n)
+    _check_bytes("first-columns slab", n, 8 * n * (w + 1))
     indptr, indices, data = q._csr
     head = np.flatnonzero(indices < w)
     slab = np.zeros((n, w + 1))
@@ -376,7 +376,6 @@ def extract_order_sparse(q: QuboMatrix) -> OrderDag:
     within a few ``_SCORE_BLOCK`` budgets.
     """
     n = q.n
-    _check_bytes("first-columns slab", n, 8 * n * (min(_FIRST_CHUNK, n) + 1))
     indptr, dst, _ = q._csr
     src = np.repeat(np.arange(n), np.diff(indptr))
     guard = q._diag[dst] <= q._diag[src]
@@ -453,15 +452,4 @@ def save_order(g: OrderDag, path: str | Path) -> None:
 
 
 def load_order(path: str | Path) -> OrderDag:
-    data = json.loads(Path(path).read_text())
-    try:
-        n = data["n"]
-        raw = data["edges"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"order JSON must contain 'n' and 'edges': {exc}") from exc
-    # exact type tests: isinstance would take JSON booleans for integers
-    if type(n) is not int or n < 0:
-        raise ValueError(f"'n' must be a nonnegative integer, got {n!r}")
-    if type(raw) is not list:
-        raise ValueError(f"'edges' must be a list of [i, j] pairs, got {raw!r}")
-    return OrderDag(n, raw)
+    return OrderDag(*_load_rows(path, "edges"))

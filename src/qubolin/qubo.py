@@ -104,7 +104,7 @@ def _table(form: tuple, entries=None, columns=None, n=None) -> list[np.ndarray]:
                 what = "integers" if k < 2 else "numbers"
                 raise ValueError(f"{name} array must hold {what}, got dtype {col.dtype} in entry {entry(0)!r}")
         elif ok and k < 2:
-            ok = set(map(type, col)) <= {int}
+            ok = _integral(col)
         elif ok:
             types = set(map(type, col))
             # an int too large for a float fails; an infinite float only costs the scan
@@ -122,6 +122,15 @@ def _table(form: tuple, entries=None, columns=None, n=None) -> list[np.ndarray]:
         return [_typed_column(c, d) for c, d in typed]
     except OverflowError:
         return [np.array(c, dtype=object if d is np.int64 else d) for c, d in typed]
+
+
+def _integral(col) -> bool:
+    """The exact-type rule for integer entries: ``col`` is an array of an
+    integer dtype, or a sequence of Python ints and nothing else (no bool,
+    float, string or numpy scalar)."""
+    if isinstance(col, np.ndarray):
+        return not col.size or col.dtype.kind in "iu"
+    return set(map(type, col)) <= {int}
 
 
 def _typed_column(col, dtype) -> np.ndarray:
@@ -301,23 +310,6 @@ class QuboMatrix:
         found[found] = keys[pos[found]] == want[found]
         return np.where(found, pos, -1)
 
-    # ------------------------------------------------------------------
-    # serialization
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "QuboMatrix":
-        try:
-            n = data["n"]
-            raw = data["terms"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"QUBO JSON must contain 'n' and 'terms': {exc}") from exc
-        # exact type tests: isinstance would take JSON booleans for integers
-        if type(n) is not int:
-            raise ValueError(f"'n' must be an integer, got {n!r}")
-        if type(raw) is not list:
-            raise ValueError(f"'terms' must be a list of [i, j, value] entries, got {raw!r}")
-        return QuboMatrix.from_entries(n, raw)
-
 
 def _as_assignment(n: int, x: Sequence[int]) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
@@ -390,9 +382,24 @@ def _save_rows(path: str | Path, head: dict, key: str, *columns: np.ndarray) -> 
     Path(path).write_text(f"{json.dumps(head)[:-1]}, {json.dumps(key)}: {_json_rows(*columns)}}}\n")
 
 
+def _load_rows(path: str | Path, key: str) -> tuple[object, list]:
+    """``(n, rows)`` of a file in the layout of :func:`_save_rows`: a JSON
+    object with ``n`` and a list under ``key``.  The caller's table check
+    (:func:`_table`) checks ``n`` and the rows."""
+    data = json.loads(Path(path).read_text())
+    try:
+        n, rows = data["n"], data[key]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"JSON must be an object with 'n' and {key!r}: {exc}") from exc
+    # exact type test: a JSON object or string under the key is not a list of rows
+    if type(rows) is not list:
+        raise ValueError(f"{key!r} must be a list of rows, got {rows!r}")
+    return n, rows
+
+
 def save_qubo(q: QuboMatrix, path: str | Path) -> None:
     _save_rows(path, {"n": q.n}, "terms", q.rows, q.cols, q.vals)
 
 
 def load_qubo(path: str | Path) -> QuboMatrix:
-    return QuboMatrix.from_json_dict(json.loads(Path(path).read_text()))
+    return QuboMatrix.from_entries(*_load_rows(path, "terms"))

@@ -155,9 +155,11 @@ def reference_encode_qubo(inst, lam) -> dict[tuple[int, int], float]:
     from qubolin.mkp import slack_blocks
 
     terms: dict[tuple[int, int], float] = {}
-    w = np.array(inst.weights, dtype=np.int64)
+    # Python ints: a sum of squared weights may pass 2**63, and lam may be an int past 2**53
+    values, weights = inst.values.tolist(), inst.weights.tolist()
+    w = np.array(weights, dtype=np.int64)
     for i in range(inst.n):
-        terms[(i, i)] = float(-inst.values[i] + lam * sum(row[i] ** 2 for row in inst.weights))
+        terms[(i, i)] = float(-values[i] + lam * sum(row[i] ** 2 for row in weights))
     for block in slack_blocks(inst):
         k = block.constraint
         for t, st in enumerate(block.weights):
@@ -172,6 +174,18 @@ def reference_encode_qubo(inst, lam) -> dict[tuple[int, int], float]:
         for j in range(i + 1, inst.n):
             terms[(i, j)] = float(cross[i, j])
     return {k: v for k, v in terms.items() if v != 0.0}
+
+
+def reference_generate_mkp(n: int, m: int, alpha: float, seed: int):
+    """The knapsack generator as it was written over tuples: ``(values,
+    weights, capacities)`` as tuples of Python ints, from the same draws
+    (the weights, then one uniform per item)."""
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, 1000, size=(m, n), endpoint=True)
+    caps = [math.floor(alpha * int(w[k].sum())) for k in range(m)]
+    q = rng.random(n)
+    values = [max(1, math.floor(int(w[:, i].sum()) / m + 500.0 * q[i])) for i in range(n)]
+    return tuple(values), tuple(tuple(int(x) for x in w[k]) for k in range(m)), tuple(caps)
 
 
 def reference_anneal_one(a: np.ndarray, diag: np.ndarray, betas: np.ndarray, rng) -> np.ndarray:

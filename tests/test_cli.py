@@ -22,7 +22,7 @@ from qubolin import (
     parse_orlib,
     save_qubo,
 )
-from qubolin import cli, ordering
+from qubolin import cli, ordering, qubo
 from qubolin.cli import build_parser, main
 from qubolin.linearize import LinearizationReport, save_report
 from qubolin.ordering import OrderDag, save_order
@@ -240,7 +240,17 @@ class TestMalformedJson:
     def test_boolean_variable_count(self, tmp_path, capsys):
         code, err = self._linearize(tmp_path, capsys, '{"n": true, "terms": []}')
         assert code == 3
-        assert "'n' must be an integer, got True" in err
+        assert "variable count must be a nonnegative integer, got True" in err
+
+    @pytest.mark.parametrize("order_json, message", [
+        ('{"n": true, "edges": []}', "variable count must be a nonnegative integer, got True"),
+        ('{"n": 2, "edges": {}}', "'edges' must be a list of rows, got {}"),
+        ('[[0, 1]]', "JSON must be an object with 'n' and 'edges'"),
+    ], ids=["bool-count", "edges-not-a-list", "not-an-object"])
+    def test_order_file_head(self, tmp_path, capsys, order_json, message):
+        code, err = self._linearize(tmp_path, capsys, '{"n": 2, "terms": [[0, 1, 5]]}', order_json)
+        assert code == 3
+        assert message in err
 
     def test_string_coefficient(self, tmp_path, capsys):
         code, err = self._linearize(tmp_path, capsys, '{"n": 2, "terms": [[0, 1, "3"]]}')
@@ -293,7 +303,23 @@ class TestHugeVariableCount:
         path.write_text(json.dumps({"n": n, "terms": [[0, 1, 1.0]]}))
         out = tmp_path / "out.json"
         assert main([*argv, "--in", str(path), "--out", str(out)]) == 4
-        assert f"n={n} needs {8 * n * 33} bytes" in capsys.readouterr().err
+        # the first O(n) view it builds is the neighbour lists' row pointers
+        assert f"row pointers of n={n} needs {8 * (n + 1)} bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["linearize"], ["order", "--sparse"]])
+    def test_slab_counted_only_when_built(self, tmp_path, capsys, monkeypatch, argv):
+        # under this limit the n=1100 first-columns slab (290,400 bytes) is
+        # too large, but every other O(n) array fits
+        monkeypatch.setattr(qubo, "DENSE_MAX_BYTES", 264_000)
+        light, heavy, out = tmp_path / "light.json", tmp_path / "heavy.json", tmp_path / "out.json"
+        light.write_text(json.dumps({"n": 1100, "terms": [[0, 1, 1.0]]}))
+        # variable 0 couples to 200 others: deg(0) + deg(k) passes 0.15 n
+        heavy.write_text(json.dumps({"n": 1100, "terms": [[0, k, 1.0] for k in range(1, 201)]}))
+        assert main([*argv, "--in", str(light), "--out", str(out)]) == 0
+        out.unlink()
+        assert main([*argv, "--in", str(heavy), "--out", str(out)]) == 4
+        assert "first-columns slab of n=1100 needs 290400 bytes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_index_over_the_limit_exits_four(self, tmp_path, capsys):
@@ -327,7 +353,7 @@ class TestHugeVariableCount:
     (["gen", "hard", "--n", "1000000", "--seed", "0"], "term arrays of n=1000000 needs"),
     (["exp", "od-reduction", "--n", "1000000", "--p-grid", "2.0", "--seeds", "1"], "term arrays of n=1000000 needs"),
     (["gen", "mkp", "--n", str(10**12), "--m", "1", "--alpha", "0.5", "--seed", "0"],
-     f"weights of m=1 constraints of n={10**12} needs {8 * 10**12} bytes"),
+     f"weights of m=1 constraints of n={10**12} needs {40 * 10**12} bytes"),
 ])
 def test_generator_over_the_limit_exits_four(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -590,7 +616,8 @@ class TestEncodeDecode:
         (f"1 2 1 0  1 1  1 {10**20}  1", ["encode", "--out", "x.json"], f"weight (0, 1) is {10**20}"),
         ("1 2 1 0  1 1  1 4000000000  1", ["encode", "--out", "x.json"], "weight (0, 1) is 4000000000"),
         (f"1 2 1 0  1 1  1 1  {10**20}", ["exp", "mkp-gap", "--out", "x.csv"], f"capacity 0 is {10**20}"),
-    ], ids=["value", "weight", "weight-4e9", "capacity"])
+        (f"1 2 1 0  1 1  1 {10**23}  1", ["encode", "--out", "x.json"], f"weight (0, 1) is {10**23}, outside"),
+    ], ids=["value", "weight", "weight-4e9", "capacity", "weight-1e23"])
     def test_number_over_its_limit_exits_three(self, tmp_path, capsys, monkeypatch, text, argv, message):
         monkeypatch.chdir(tmp_path)
         Path("inst.txt").write_text(text)

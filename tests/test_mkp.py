@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import reference_encode_qubo
+from conftest import reference_encode_qubo, reference_generate_mkp
 from qubolin import (
     LimitError,
     MkpInstance,
@@ -38,15 +39,20 @@ def small_random_instance(rng, n=None, m=None, max_weight=8, alpha=None) -> MkpI
     return MkpInstance(values, tuple(tuple(int(x) for x in w[k]) for k in range(m)), caps)
 
 
+def same_instance(a: MkpInstance, b: MkpInstance) -> bool:
+    fields = ("values", "weights", "capacities")
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields) and a.best_known == b.best_known
+
+
 class TestParser:
     def test_constructed_token_stream(self):
         instances = parse_orlib("1 2 1 0  10 7  5 4  6")
         assert len(instances) == 1
         inst = instances[0]
         assert (inst.n, inst.m) == (2, 1)
-        assert inst.values == (10, 7)
-        assert inst.weights == ((5, 4),)
-        assert inst.capacities == (6,)
+        assert np.array_equal(inst.values, [10, 7])
+        assert np.array_equal(inst.weights, [[5, 4]])
+        assert np.array_equal(inst.capacities, [6])
         assert inst.best_known is None
 
     def test_best_known_zero_means_absent(self):
@@ -77,6 +83,16 @@ class TestParser:
         with pytest.raises(ValueError, match=r"capacity 0 is 4611686018427387904, outside 1\.\.4611686018427387903"):
             MkpInstance((1,), ((1,),), (2**62,))
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2 1 0  1 {big}  1 1  1", "value of item 1 is {big}"),
+        ("1 2 1 0  1 1  1 {big}  1", r"weight \(0, 1\) is {big}"),
+        ("1 2 1 0  1 1  1 1  {big}", "capacity 0 is {big}"),
+    ], ids=["value", "weight", "capacity"])
+    def test_token_beyond_int64(self, text, message):
+        big = 10**23
+        with pytest.raises(ValueError, match=message.format(big=big) + ", outside 1"):
+            parse_orlib(text.format(big=big))
+
     def test_non_positive_shape(self):
         with pytest.raises(ParseError, match="non-positive"):
             parse_orlib("1 0 1 0")
@@ -88,16 +104,110 @@ class TestParser:
     def test_round_trip(self):
         rng = np.random.default_rng(20)
         instances = [small_random_instance(rng) for _ in range(4)]
-        assert parse_orlib(serialize_orlib(instances)) == instances
+        parsed = parse_orlib(serialize_orlib(instances))
+        assert len(parsed) == len(instances)
+        for a, b in zip(parsed, instances):
+            assert same_instance(a, b)
 
     def test_bytes_accepted(self):
-        assert parse_orlib(b"1 1 1 0 5 3 2")[0].values == (5,)
+        assert parse_orlib(b"1 1 1 0 5 3 2")[0].values.tolist() == [5]
+
+
+class TestInputChecks:
+    def test_forms_agree_and_are_read_only(self):
+        a = MkpInstance((5, 6), ((2, 3), (1, 1)), (5, 2))
+        b = MkpInstance([5, 6], [[2, 3], [1, 1]], [5, 2])
+        c = MkpInstance(np.array([5, 6], dtype=np.int32), np.array([[2, 3], [1, 1]], dtype=np.uint16),
+                        np.array([5, 2]))
+        for inst in (a, b, c):
+            assert same_instance(inst, a)
+            for arr in (inst.values, inst.weights, inst.capacities):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert inst.weights.shape == (2, 2) and (inst.n, inst.m) == (2, 2)
+
+    def test_owns_a_copy(self):
+        values = np.array([5, 6])
+        inst = MkpInstance(values, np.ones((1, 2), dtype=np.int64), np.array([1]))
+        values[0] = 7
+        assert inst.values.tolist() == [5, 6] and values.flags.writeable
+
+    def test_equality_is_identity(self):
+        inst = MkpInstance((5,), ((1,),), (1,))
+        assert inst == inst and inst != MkpInstance((5,), ((1,),), (1,))
+
+    @pytest.mark.parametrize("args, message", [
+        (((1.5,), ((1,),), (1,)), "value of item 0 is 1.5, not an integer"),
+        (((True,), ((1,),), (1,)), "value of item 0 is True, not an integer"),
+        (((1, "2"), ((1, 1),), (1,)), "value of item 1 is '2', not an integer"),
+        (((1,), ((1.0,),), (2.5,)), r"weight \(0, 0\) is 1.0, not an integer"),
+        (((1, 1), ((1, 1), (1, False)), (1, 1)), r"weight \(1, 1\) is False, not an integer"),
+        (((1,), ((1,),), (2.5,)), "capacity 0 is 2.5, not an integer"),
+        (((1,), ((1,),), ("2",)), "capacity 0 is '2', not an integer"),
+        (((1, 2), ((1, 1),), (np.int64(3),)), r"capacity 0 is np.int64\(3\), not an integer"),
+        ((np.array([1.5]), np.ones((1, 1), dtype=np.int64), np.array([1])), "value of item 0 is 1.5, not an integer"),
+        ((np.array([1]), np.ones((1, 1), dtype=bool), np.array([1])), r"weight \(0, 0\) is True, not an integer"),
+        ((np.array([1]), np.ones((1, 1), dtype=np.int64), np.array(["1"])), "capacity 0 is '1', not an integer"),
+    ], ids=["float-value", "bool-value", "str-value", "float-weight", "bool-weight", "float-capacity",
+            "str-capacity", "numpy-scalar", "float-array", "bool-array", "str-array"])
+    def test_non_integer_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            MkpInstance(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        (((), ((),), (1,)), "at least one item"),
+        (((1,), (), ()), "one weight row per capacity"),
+        (((1, 2), ((1, 2),), (1, 1)), "one weight row per capacity"),
+        (((1, 2), ((1, 2), (3,)), (1, 1)), "one entry per item"),
+        (((1, 2), ((1, 2), 3), (1, 1)), "one entry per item"),
+        (((1, 2), ((1, 2, 3),), (1,)), "one entry per item"),
+        ((np.ones((1, 2), dtype=np.int64), np.ones((1, 2), dtype=np.int64), (1,)), "must be 1-D"),
+        ((np.ones(2, dtype=np.int64), np.ones(1, dtype=np.int64), (1,)), "one entry per item"),
+    ], ids=["no-items", "no-rows", "rows-vs-capacities", "ragged", "row-not-a-sequence", "long-row",
+            "values-2d", "weights-1d"])
+    def test_shapes(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            MkpInstance(*args)
+
+    def test_beyond_int64_quoted(self):
+        with pytest.raises(ValueError, match=r"weight \(0, 1\) is 9223372036854775808, outside"):
+            MkpInstance((1, 1), np.array([[1, 2**63]], dtype=np.uint64), (1,))
+        with pytest.raises(ValueError, match=f"value of item 0 is {10**23}, outside"):
+            MkpInstance([10**23], [[1]], [1])
 
 
 class TestGenerator:
     def test_deterministic(self):
-        assert generate_mkp(20, 3, 0.5, 4) == generate_mkp(20, 3, 0.5, 4)
-        assert generate_mkp(20, 3, 0.5, 4) != generate_mkp(20, 3, 0.5, 5)
+        assert same_instance(generate_mkp(20, 3, 0.5, 4), generate_mkp(20, 3, 0.5, 4))
+        other = generate_mkp(20, 3, 0.5, 5)
+        assert not np.array_equal(generate_mkp(20, 3, 0.5, 4).weights, other.weights)
+        assert not same_instance(generate_mkp(20, 3, 0.5, 4), other)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 100, 300])
+    def test_matches_tuple_oracle(self, n):
+        # the grid the array generator was checked on against the tuple one
+        for m, alpha, seed in itertools.product((1, 2, 5), (0.25, 0.5, 0.75), range(3)):
+            inst = generate_mkp(n, m, alpha, seed)
+            values, weights, caps = reference_generate_mkp(n, m, alpha, seed)
+            assert inst.values.tolist() == list(values)
+            assert inst.weights.tolist() == list(map(list, weights))
+            assert inst.capacities.tolist() == list(caps)
+            oracle = MkpInstance(values, weights, caps)
+            for lam in (1.0, 0.37, 3.0):
+                q = encode_qubo(inst, lam).qubo
+                terms = reference_encode_qubo(oracle, lam)
+                assert list(zip(q.rows.tolist(), q.cols.tolist())) == sorted(terms)
+                assert [v.hex() for v in q.vals.tolist()] == [terms[k].hex() for k in sorted(terms)]
+
+    def test_peak_memory(self):
+        # README: generate_mkp peaks within 1.1x the bytes its limit check counts
+        n, m = 200_000, 2
+        tracemalloc.start()
+        try:
+            generate_mkp(n, m, 0.5, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * (2 * m + 3) * n
 
     def test_single_item_bounds(self):
         inst = generate_mkp(1, 1, 0.9, 0)

@@ -275,8 +275,9 @@ class TestScoreKernels:
         assert score_pair(q, int(src[0]), int(dst[0])) == reference_score(q, int(src[0]), int(dst[0]))
 
     def test_extraction_peak_memory(self):
-        # README: the peak stays within 4x the first-columns slab that the
-        # extraction's limit check counts, at about 10 couplings per variable
+        # README: at about 10 couplings per variable the peak stays within 4x
+        # the 264 bytes per variable of a first-columns slab, which this input
+        # (all pairs light) never builds
         n = 5000
         q = sparse_integer_qubo(np.random.default_rng(63), n)
         counted = 8 * n * (ordering._FIRST_CHUNK + 1)

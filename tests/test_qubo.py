@@ -272,11 +272,12 @@ class TestDictOracle:
         bound = len(q.terms) * np.finfo(np.float64).eps * sum(abs(v) for v in q.terms.values())
         assert abs(energy(q, bits) - exhaustive_energy(q, bits)) <= bound
 
-    @given(raw_entry_lists())
-    def test_json_load_matches_oracle(self, case):
+    @given(case=raw_entry_lists())
+    def test_json_load_matches_oracle(self, tmp_path_factory, case):
         n, entries = case
-        data = json.loads(json.dumps({"n": n, "terms": [list(e) for e in entries]}))
-        assert QuboMatrix.from_json_dict(data).terms == reference_from_entries(n, entries)
+        path = tmp_path_factory.getbasetemp() / "json_load.json"
+        path.write_text(json.dumps({"n": n, "terms": [list(e) for e in entries]}))
+        assert load_qubo(path).terms == reference_from_entries(n, entries)
 
 
 def _sparse_qubo(n: int, seed: int) -> QuboMatrix:
