@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ordering import OrderDag, extract_order_dense
-from .qubo import QuboMatrix, _as_assignment, _pair_keys, _save_rows, _table
+from .qubo import QuboMatrix, _as_assignment, _pair_runs, _save_rows, _table
 
 __all__ = [
     "LinearizationReport",
@@ -134,11 +134,15 @@ def undo_linearization(q_lin: QuboMatrix, report: LinearizationReport) -> QuboMa
     if not report.removed_count:
         return q_lin
     i, j, c = report.src, report.dst, report.coef
+    bad = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= q_lin.n) | (i == j))
+    if bad.size:
+        t = bad[0]
+        raise ValueError(f"report entry {(int(i[t]), int(j[t]), float(c[t]))!r} names no coupling of n={q_lin.n}")
     # a cell is occupied if it is stored or an earlier removal restores it
     occupied = q_lin._find_pairs(i, j) >= 0
-    key = _pair_keys(np.minimum(i, j), np.maximum(i, j))
-    order = np.argsort(key, kind="stable")
-    occupied[order[1:]] |= key[order[1:]] == key[order[:-1]]
+    order, key = _pair_runs(i, j)
+    start = np.flatnonzero(np.diff(key >> 1, prepend=-1))
+    occupied[order] |= order != np.repeat(np.minimum.reduceat(order, start), np.diff(start, append=order.size))
     if occupied.any():
         t = int(np.argmax(occupied))
         raise ValueError(f"cannot restore ({i[t]}, {j[t]}): cell already occupied")

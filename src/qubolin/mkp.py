@@ -292,8 +292,12 @@ def encode_qubo(inst: MkpInstance, lam: float) -> QuboEncoding:
     if not 0 < lam < math.inf:
         raise ValueError(f"penalty coefficient lambda must be positive and finite, got {lam}")
     blocks = slack_blocks(inst)
+    n = inst.n
+    # the entries before folding; the encoding peaks at 123 bytes per entry
+    entries = n * (n + 1) // 2 + sum(b.bits * (b.bits + 1) // 2 + n * b.bits for b in blocks)
+    _check_bytes(f"encoding of m={inst.m} constraints", n, 128 * entries)
     w = inst.weights
-    dec = np.arange(inst.n)
+    dec = np.arange(n)
     # the decision and slack diagonals take Python arithmetic, exact on an integer lam;
     # a sum of m squared weights may pass 2**63
     sq = [sum(x * x for x in col) for col in w.T.tolist()]
@@ -304,10 +308,10 @@ def encode_qubo(inst: MkpInstance, lam: float) -> QuboEncoding:
         y = block.offset + np.arange(block.bits)
         t, u = np.triu_indices(block.bits, 1)
         rows += [y, y[t], np.repeat(dec, block.bits)]
-        cols += [y, y[u], np.tile(y, inst.n)]
+        cols += [y, y[u], np.tile(y, n)]
         vals += [np.array([float(lam * s * s) for s in block.weights]), 2.0 * lam * st[t] * st[u],
                  np.outer(-2.0 * lam * w[block.constraint], st).ravel()]
-    i, j = np.triu_indices(inst.n, 1)
+    i, j = np.triu_indices(n, 1)
     rows.append(i)
     cols.append(j)
     vals.append((2.0 * lam * (w.T.astype(np.float64) @ w.astype(np.float64)))[i, j])
@@ -318,7 +322,7 @@ def encode_qubo(inst: MkpInstance, lam: float) -> QuboEncoding:
         lam=float(lam),
         linearized=False,
         order=None,
-        n_decision=inst.n,
+        n_decision=n,
     )
 
 
@@ -330,6 +334,10 @@ def extract_mkp_order(inst: MkpInstance) -> OrderDag:
     breaks the two-cycles that mutual dominance would otherwise create.
     Runs in O(n^2 m).
     """
+    n, m = inst.n, inst.m
+    # the m x n x n weight comparison, then the n x n masks and the edges: at
+    # most 34 n^2 bytes (measured), reached when every pair of items is an edge
+    _check_bytes(f"dominance order of m={m} constraints", n, (m + 34) * n * n)
     v, w = inst.values, inst.weights
     value_le = v[:, None] <= v[None, :]
     weight_ge = np.all(w[:, :, None] >= w[:, None, :], axis=0)
@@ -338,7 +346,7 @@ def extract_mkp_order(inst: MkpInstance) -> OrderDag:
     lower = np.tril(np.ones_like(dominated, dtype=bool))
     keep = dominated & ~(tied & lower)
     np.fill_diagonal(keep, False)
-    return OrderDag(inst.n, np.argwhere(keep))
+    return OrderDag(n, np.argwhere(keep))
 
 
 def encode_linearized(inst: MkpInstance, lam: float) -> QuboEncoding:

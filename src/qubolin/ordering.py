@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import LimitError
-from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes, _load_rows, _pair_keys, _save_rows, _table
+from .qubo import INDEX_LIMIT, QuboMatrix, _as_assignment, _check_bytes, _load_rows, _pair_runs, _save_rows, _table
 
 __all__ = [
     "OrderDag",
@@ -84,14 +84,12 @@ class OrderDag:
         bad = np.flatnonzero((arr >= INDEX_LIMIT).any(axis=1))
         if bad.size:
             raise LimitError(f"edge {tuple(arr[bad[0]].tolist())} reaches the index limit of {INDEX_LIMIT}")
-        arr = arr.astype(np.int64, copy=False)
-        src, dst = arr[:, 0], arr[:, 1]
-        ids = _pair_keys(src, dst)
-        srt = np.argsort(ids, kind="stable")
-        bad = srt[1:][ids[srt[1:]] == ids[srt[:-1]]]
+        order, key = _pair_runs(arr[:, 0], arr[:, 1])
+        bad = order[1:][key[1:] == key[:-1]]
         if bad.size:
             raise ValueError(f"duplicate edge {tuple(arr[bad.min()].tolist())}")
-        bad = _reversed_pairs(src, dst)
+        key >>= 1
+        bad = np.minimum(order[1:], order[:-1])[key[1:] == key[:-1]]
         if bad.size:
             raise ValueError(f"edge {tuple(arr[bad.min()].tolist())} present together with its reverse")
         arr.flags.writeable = False
@@ -101,22 +99,16 @@ class OrderDag:
         return len(self.edges)
 
 
-def _reversed_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Positions t of the distinct pairs ``(src[t], dst[t])`` whose reverse
-    ``(dst[t], src[t])`` is among them too."""
-    # np.isin would import numpy.ma (about 2 MiB) through a plain np.unique
-    return np.intersect1d(_pair_keys(src, dst), _pair_keys(dst, src), assume_unique=True, return_indices=True)[1]
-
-
 def _scan_order(n: int, src: np.ndarray, dst: np.ndarray) -> OrderDag:
     """The order of the admitted pairs ``(src[t], dst[t])``, given row-major,
     after the scan's reverse-edge rule: ``(i, j)`` with ``j < i`` goes when
     ``(j, i)`` is admitted too.  No score depends on another edge, so the
     rule can follow the scoring."""
-    rev = _reversed_pairs(src, dst)
-    keep = np.ones(src.size, dtype=bool)
-    keep[rev[dst[rev] < src[rev]]] = False
-    return OrderDag(n, np.stack([src[keep], dst[keep]], axis=1))
+    order, key = _pair_runs(src, dst)
+    # the pairs are distinct: a run of two is (i, j) with i < j, then its reverse
+    drop = order[1:][(key[1:] >> 1) == (key[:-1] >> 1)]
+    del order, key  # before OrderDag copies the edges
+    return OrderDag(n, np.delete(np.stack([src, dst], axis=1), drop, axis=0))
 
 
 def _degrees(q: QuboMatrix, nodes: np.ndarray) -> np.ndarray:

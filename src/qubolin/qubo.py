@@ -54,6 +54,15 @@ def _pair_keys(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return i * INDEX_LIMIT + j
 
 
+def _pair_runs(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of the pairs ``(i[t], j[t])``, indices in ``[0, INDEX_LIMIT)``,
+    and their sorted keys ``2 * _pair_keys(min, max) + (i > j)``.  Equal keys are
+    one literal pair; equal ``key >> 1`` one unordered pair, its ``i <= j`` entries first."""
+    key = _pair_keys(np.minimum(i, j), np.maximum(i, j)) * 2 + (i > j)
+    order = np.argsort(key, kind="stable")
+    return order, key[order]
+
+
 _TERMS = (
     "term",
     "term entry must be [i, j, value], got {!r}",
@@ -156,10 +165,10 @@ def _canonical(n: int, entries=None, columns=None) -> tuple[np.ndarray, np.ndarr
     rows, cols, vals = _table(_TERMS, entries, columns, n)
     span = min(n, INDEX_LIMIT)
     outside = (rows < 0) | (cols < 0) | (rows >= span) | (cols >= span)
-    lit = _pair_keys(np.where(outside, 0, rows), np.where(outside, 0, cols))
-    order = np.argsort(lit, kind="stable")
-    repeat = np.zeros(lit.size, dtype=bool)
-    repeat[order[1:]] = lit[order[1:]] == lit[order[:-1]]
+    inside = (np.where(outside, 0, rows), np.where(outside, 0, cols)) if outside.any() else (rows, cols)
+    order, key = _pair_runs(*inside)
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[order[1:]] = key[1:] == key[:-1]
     bad = outside | repeat | ~np.isfinite(vals)
     if bad.any():
         t = int(np.argmax(bad))
@@ -171,21 +180,19 @@ def _canonical(n: int, entries=None, columns=None) -> tuple[np.ndarray, np.ndarr
         if repeat[t]:
             raise ValueError(f"duplicate entry for key ({a}, {b})")
         raise ValueError(f"coefficient at ({a}, {b}) is not finite: {float(vals[t])!r}")
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    key = _pair_keys(lo, hi)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    key >>= 1
     first = np.flatnonzero(np.diff(key, prepend=-1))
     if key.size:
         # a key holds at most one entry and its mirror; their sum commutes
         with np.errstate(over="ignore"):
             vals = np.add.reduceat(vals[order], first)
+    lo, hi = np.divmod(key[first], INDEX_LIMIT)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
-        t = order[first[bad[0]]]
-        raise ValueError(f"coefficient at ({lo[t]}, {hi[t]}) is not finite once folded: {float(vals[bad[0]])!r}")
+        t = bad[0]
+        raise ValueError(f"coefficient at ({lo[t]}, {hi[t]}) is not finite once folded: {float(vals[t])!r}")
     keep = vals != 0.0
-    return lo[order][first][keep], hi[order][first][keep], vals[keep]
+    return lo[keep], hi[keep], vals[keep]
 
 
 class QuboMatrix:

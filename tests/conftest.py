@@ -117,6 +117,31 @@ def reference_from_entries(n: int, entries) -> dict[tuple[int, int], float]:
     return {k: v for k, v in acc.items() if v != 0.0}
 
 
+def reference_order_fault(n: int, edges) -> str | None:
+    """Literal scans for the message :class:`OrderDag` raises on ``edges``
+    (pairs of ints below the index limit), or None if it accepts them.
+
+    Self-loops come first, then indices out of range, then the first edge
+    that repeats an earlier one, then the first edge whose reverse is listed.
+    """
+    edges = [tuple(e) for e in edges]
+    for i, j in edges:
+        if i == j:
+            return f"self-loop edge {(i, j)}"
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge {(i, j)} out of range for n={n}"
+    seen = set()
+    for e in edges:
+        if e in seen:
+            return f"duplicate edge {e}"
+        seen.add(e)
+    for i, j in edges:
+        if (j, i) in seen:
+            return f"edge {(i, j)} present together with its reverse"
+    return None
+
+
 def reference_linearize(q: QuboMatrix, edges):
     """Literal dict-loop rewrite, one edge at a time.
 

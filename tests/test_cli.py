@@ -625,6 +625,23 @@ class TestEncodeDecode:
         assert message in capsys.readouterr().err
         assert not Path(argv[-1]).exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--out", "x.json"],
+        ["encode", "--linearize", "--out", "x.json"],
+        ["decode", "--samples", "none.json"],
+        ["exp", "mkp-gap", "--out", "x.csv"],
+    ], ids=["encode", "encode-linearize", "decode", "mkp-gap"])
+    def test_encoding_over_its_limit_exits_four(self, tmp_path, capsys, monkeypatch, argv):
+        # n=30, m=1 and 13 slack bits: 946 entries before folding at 128 bytes
+        # each, over a lowered limit, so nothing of the encoding is allocated
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "mkp", "--n", "30", "--m", "1", "--alpha", "0.5",
+                     "--seed", "1", "--out", "inst.txt"]) == 0
+        monkeypatch.setattr(qubo, "DENSE_MAX_BYTES", 100_000)
+        assert main([*argv, "--mkp", "inst.txt"]) == 4
+        assert "encoding of m=1 constraints of n=30 needs 121088 bytes" in capsys.readouterr().err
+        assert not Path(argv[-1]).exists()
+
     @pytest.mark.parametrize("samples_text, message", [
         ("{}", "'samples' list, got {}"),
         ('{"samples": [{"bits": 5}]}', "sample 0 needs 'bits'"),

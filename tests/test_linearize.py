@@ -158,6 +158,21 @@ class TestDictOracle:
         with pytest.raises(ValueError, match=r"cannot restore \(0, 1\)"):
             undo_linearization(q, report)
 
+    @pytest.mark.parametrize("removed, message", [
+        ([(0, 1, 2.0), (2, 1, 1.0)], "cannot restore (2, 1): cell already occupied"),
+        # a pair removed twice: the later removal is named, whichever way round
+        ([(0, 1, 2.0), (1, 0, 3.0)], "cannot restore (1, 0): cell already occupied"),
+        ([(1, 0, 2.0), (0, 2, 1.0), (0, 1, 3.0), (2, 0, 1.0)], "cannot restore (0, 1): cell already occupied"),
+        ([(0, 1, 1.0), (5, 0, 1.0)], "report entry (5, 0, 1.0) names no coupling of n=3"),
+        ([(0, 1, 1.0), (0, -1, 2.0)], "report entry (0, -1, 2.0) names no coupling of n=3"),
+        ([(0, 1, 1.0), (1, 1, 2.0)], "report entry (1, 1, 2.0) names no coupling of n=3"),
+    ], ids=["stored", "repeated", "repeated-reverse-first", "index-over-n", "negative-index", "diagonal"])
+    def test_undo_rejects_a_bad_entry(self, removed, message):
+        q_lin = QuboMatrix.from_entries(3, [(0, 0, 4.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError) as err:
+            undo_linearization(q_lin, LinearizationReport(*zip(*removed)))
+        assert str(err.value) == message
+
 
 class TestPenaltyValue:
     def test_worked_example_violating_assignment(self, example_q, example_order):

@@ -26,6 +26,7 @@ from qubolin import (
     serialize_orlib,
     slack_layout,
 )
+from qubolin import mkp, qubo
 from qubolin.mkp import slack_blocks
 
 
@@ -209,6 +210,28 @@ class TestGenerator:
             tracemalloc.stop()
         assert peak <= 1.1 * 8 * (2 * m + 3) * n
 
+    @pytest.mark.parametrize("stage, n, m, tied", [
+        (encode_qubo, 300, 1, False),
+        (encode_qubo, 100, 30, False),
+        (extract_mkp_order, 300, 1, True),
+        (extract_mkp_order, 100, 30, False),
+    ], ids=["encode", "encode-m30", "order-all-tied", "order-m30"])
+    def test_encode_path_peaks_within_its_count(self, monkeypatch, stage, n, m, tied):
+        # README: the encoding peaks at 0.96x its count, the dominance order
+        # at 0.97x where every pair of items is an edge
+        inst = generate_mkp(n, m, 0.5, 0)
+        if tied:
+            inst = MkpInstance(np.full(n, 7), np.full((m, n), 3), inst.capacities)
+        counted = []
+        monkeypatch.setattr(mkp, "_check_bytes", lambda what, n, size: counted.append(size))
+        tracemalloc.start()
+        try:
+            stage(inst, 1.0) if stage is encode_qubo else stage(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted[0]
+
     def test_single_item_bounds(self):
         inst = generate_mkp(1, 1, 0.9, 0)
         w = inst.weights[0][0]
@@ -378,6 +401,12 @@ class TestDominanceOrder:
         for _ in range(20):
             inst = small_random_instance(rng, n=12)
             assert topological_order(extract_mkp_order(inst)) is not None
+
+    def test_size_check_names_n_and_m(self, monkeypatch):
+        # (m + 34) bytes per item pair, counted before any array is built
+        monkeypatch.setattr(qubo, "DENSE_MAX_BYTES", 10_000)
+        with pytest.raises(LimitError, match=r"dominance order of m=2 constraints of n=30 needs 32400 bytes"):
+            extract_mkp_order(generate_mkp(30, 2, 0.5, 0))
 
     def test_edge_count_trends(self):
         # more constraints squeeze the order, more items enlarge it

@@ -9,6 +9,7 @@ from conftest import (
     qubo_with_symmetric_block,
     random_integer_qubo,
     reference_extraction,
+    reference_order_fault,
     reference_score,
     sparse_integer_qubo,
 )
@@ -397,6 +398,57 @@ class TestOrderDag:
             OrderDag(80, edges + ((1, 0),))
         with pytest.raises(ValueError, match="duplicate"):
             OrderDag(80, edges + ((0, 1),))
+        # several duplicates and reverses at once, in shuffled lists: the
+        # first offender equals the literal scans'
+        rng = np.random.default_rng(64)
+        base = np.array(edges)
+        for _ in range(40):
+            dup, rev = rng.integers(0, 4, size=2)
+            extra = [base[rng.integers(0, len(base), dup)], base[rng.integers(0, len(base), rev)][:, ::-1]]
+            arr = np.concatenate([base, *extra])[rng.permutation(len(base) + dup + rev)]
+            expected = reference_order_fault(80, arr.tolist())
+            for given_edges in (arr, tuple(map(tuple, arr.tolist()))):
+                if expected is None:
+                    assert OrderDag(80, given_edges).edges.tolist() == arr.tolist()
+                    continue
+                with pytest.raises(ValueError) as err:
+                    OrderDag(80, given_edges)
+                assert str(err.value) == expected
+
+    @staticmethod
+    def traced_peak(f, *args) -> int:
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def many_pairs(reverse_share: float) -> tuple[np.ndarray, np.ndarray]:
+        """About a million distinct pairs over 1500 variables, row-major;
+        ``reverse_share`` of the upper ones also come reversed."""
+        rng = np.random.default_rng(68)
+        i, j = np.triu_indices(1500, 1)
+        keep = rng.random(i.size) < 0.9
+        i, j = i[keep], j[keep]
+        rev = rng.random(i.size) < reverse_share
+        src, dst = np.concatenate([i, j[rev]]), np.concatenate([j, i[rev]])
+        order = np.lexsort((dst, src))
+        return src[order], dst[order]
+
+    def test_validation_peak_memory(self):
+        # README: an order of about 1 M edges in shuffled file order peaks
+        # within 4x its 16 bytes per edge (2.6x measured)
+        src, dst = self.many_pairs(0.0)
+        edges = np.stack([src, dst], axis=1)[np.random.default_rng(69).permutation(src.size)]
+        assert self.traced_peak(OrderDag, 1500, edges) <= 4 * 16 * len(edges)
+
+    def test_scan_order_peak_memory(self):
+        # README: the reverse-edge rule over about 1 M admitted pairs, 5 %
+        # of them reversed, peaks within 5x 16 bytes per pair (3.4x measured)
+        src, dst = self.many_pairs(0.05)
+        assert self.traced_peak(ordering._scan_order, 1500, src, dst) <= 5 * 16 * src.size
 
     def test_indices_at_the_limit(self):
         top = ordering.INDEX_LIMIT - 1

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     exhaustive_energy,
@@ -239,6 +239,17 @@ def raw_entry_lists(draw, faults: bool = False):
     return n, draw(st.lists(entry, max_size=30, unique_by=unique))
 
 
+def _repeats_and_mirrors(seed: int, n: int = 40, repeats: int = 3) -> tuple[int, list]:
+    """Every upper entry of ``n`` variables, the mirrors of half of them and
+    ``repeats`` literal repeats, shuffled."""
+    rng = np.random.default_rng(seed)
+    upper = [(i, j, int(rng.integers(-9, 10))) for i in range(n) for j in range(i, n)]
+    mirrors = [(j, i, v) for i, j, v in upper[::2] if i != j]
+    entries = upper + mirrors
+    entries += [entries[k] for k in rng.integers(0, len(entries), repeats)]
+    return n, [entries[k] for k in rng.permutation(len(entries))]
+
+
 class TestDictOracle:
     """The array storage against the literal dict loop it replaced."""
 
@@ -252,6 +263,12 @@ class TestDictOracle:
         assert [v.hex() for v in q.terms.values()] == [expected[k].hex() for k in q.terms]
 
     @given(raw_entry_lists(faults=True))
+    # several repeats and mirrors at once
+    @example((4, [(0, 1, 1), (1, 0, 2), (2, 3, 1), (3, 2, 1), (0, 1, 5), (3, 2, 4)]))
+    @example((3, [(1, 0, 1), (0, 1, 1), (2, 2, 1), (1, 0, 2), (0, 1, 3), (2, 2, 2)]))
+    @example((3, [(2, 1, 1.0), (1, 2, 2.0), (0, 0, math.inf), (2, 1, 3.0), (1, 2, 4.0)]))
+    @example(_repeats_and_mirrors(66))
+    @example(_repeats_and_mirrors(67, repeats=0))
     def test_first_fault_matches_oracle(self, case):
         n, entries = case
         try:
