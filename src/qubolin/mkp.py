@@ -334,6 +334,11 @@ def extract_mkp_order(inst: MkpInstance) -> OrderDag:
     breaks the two-cycles that mutual dominance would otherwise create.
     Runs in O(n^2 m).
     """
+    return OrderDag(inst.n, _dominance_edges(inst))
+
+
+def _dominance_edges(inst: MkpInstance) -> np.ndarray:
+    """The row-major ``(m, 2)`` edges of :func:`extract_mkp_order`."""
     n, m = inst.n, inst.m
     # the m x n x n weight comparison, then the n x n masks and the edges: at
     # most 34 n^2 bytes (measured), reached when every pair of items is an edge
@@ -346,7 +351,7 @@ def extract_mkp_order(inst: MkpInstance) -> OrderDag:
     lower = np.tril(np.ones_like(dominated, dtype=bool))
     keep = dominated & ~(tied & lower)
     np.fill_diagonal(keep, False)
-    return OrderDag(n, np.argwhere(keep))
+    return np.argwhere(keep)
 
 
 def encode_linearized(inst: MkpInstance, lam: float) -> QuboEncoding:
@@ -358,7 +363,7 @@ def encode_linearized(inst: MkpInstance, lam: float) -> QuboEncoding:
     are untouched.  The order is kept on the encoding, over all variables.
     """
     enc = encode_qubo(inst, lam)
-    order = OrderDag(enc.qubo.n, extract_mkp_order(inst).edges)
+    order = OrderDag(enc.qubo.n, _dominance_edges(inst))
     q_lin, _ = linearize(enc.qubo, order)
     return replace(enc, qubo=q_lin, linearized=True, order=order)
 

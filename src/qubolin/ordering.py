@@ -444,4 +444,5 @@ def save_order(g: OrderDag, path: str | Path) -> None:
 
 
 def load_order(path: str | Path) -> OrderDag:
-    return OrderDag(*_load_rows(path, "edges"))
+    n, rows, columns = _load_rows(path, "edges", 2)
+    return OrderDag(n, rows if columns is None else np.stack(columns, axis=1))

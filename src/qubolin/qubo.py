@@ -40,6 +40,10 @@ DENSE_MAX_BYTES = 1 << 30
 # ``i * INDEX_LIMIT + j`` fit in int64.
 INDEX_LIMIT = 1 << 31
 
+# Bytes that loading a QUBO or order file may take per byte of the file;
+# see the measured peaks in the README.
+LOAD_FACTOR = 16
+
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -389,10 +393,30 @@ def _save_rows(path: str | Path, head: dict, key: str, *columns: np.ndarray) -> 
     Path(path).write_text(f"{json.dumps(head)[:-1]}, {json.dumps(key)}: {_json_rows(*columns)}}}\n")
 
 
-def _load_rows(path: str | Path, key: str) -> tuple[object, list]:
-    """``(n, rows)`` of a file in the layout of :func:`_save_rows`: a JSON
-    object with ``n`` and a list under ``key``.  The caller's table check
-    (:func:`_table`) checks ``n`` and the rows."""
+def _load_rows(path: str | Path, key: str, width: int) -> tuple[object, list | None, list[np.ndarray] | None]:
+    """``(n, rows, None)`` or ``(n, None, columns)`` of a file in the layout
+    of :func:`_save_rows`: a JSON object with ``n`` and a list of rows of
+    ``width`` entries under ``key``, the first two of them indices.
+
+    A file that is exactly what :func:`_save_rows` writes is read as int64
+    index and float64 value columns (``_rows.parse_rows``); any other file
+    goes through ``json.loads``.  Both give the caller's table check
+    (:func:`_table`) the same numbers, which checks ``n`` and the rows.
+    Raises :class:`LimitError` before reading a file of more than
+    ``DENSE_MAX_BYTES / LOAD_FACTOR`` bytes.
+    """
+    size = Path(path).stat().st_size
+    if LOAD_FACTOR * size > DENSE_MAX_BYTES:
+        raise LimitError(
+            f"loading {path} of {size} bytes needs {LOAD_FACTOR * size} bytes, over the limit of {DENSE_MAX_BYTES}"
+        )
+    # imported on first use: where no bytecode cache is written, every
+    # `import qubolin` would compile the reader, also for commands that read no file
+    from ._rows import parse_rows
+
+    parsed = parse_rows(Path(path).read_bytes(), key, width)
+    if parsed is not None:
+        return parsed[0], None, parsed[1]
     data = json.loads(Path(path).read_text())
     try:
         n, rows = data["n"], data[key]
@@ -401,7 +425,7 @@ def _load_rows(path: str | Path, key: str) -> tuple[object, list]:
     # exact type test: a JSON object or string under the key is not a list of rows
     if type(rows) is not list:
         raise ValueError(f"{key!r} must be a list of rows, got {rows!r}")
-    return n, rows
+    return n, rows, None
 
 
 def save_qubo(q: QuboMatrix, path: str | Path) -> None:
@@ -409,4 +433,5 @@ def save_qubo(q: QuboMatrix, path: str | Path) -> None:
 
 
 def load_qubo(path: str | Path) -> QuboMatrix:
-    return QuboMatrix.from_entries(*_load_rows(path, "terms"))
+    n, rows, columns = _load_rows(path, "terms", 3)
+    return QuboMatrix._of(n, *_canonical(n, rows, columns))

@@ -81,9 +81,6 @@ class SampleSet:
     def best_energy(self) -> float:
         return self.samples[self.best][1]
 
-    def best_assignment(self) -> tuple[int, ...]:
-        return self.samples[self.best][0]
-
     def to_json_dict(self) -> dict:
         return {
             "samples": [
