@@ -12,8 +12,6 @@ import json
 
 import numpy as np
 
-from .qubo import _json_rows
-
 # The array path reads a QUBO file only where at most this share of the
 # values in its first _SAMPLE_BYTES of rows are distinct: formatting a
 # distinct value for the check costs more than json.loads spends on a row,
@@ -28,10 +26,20 @@ def parse_rows(data: bytes, key: str, width: int) -> tuple[int, list[np.ndarray]
     for a QUBO file whose values repeat too little for this to pay
     (:func:`_values_repeat`).
 
-    Tokens are cut at the ``", "`` and ``"], ["`` separators of the rows.
-    The cut is loose, but its columns count only if ``qubo._json_rows``
-    gives back the rows byte for byte, and then ``json.loads`` reads the
-    same numbers.
+    Tokens are cut at the commas of the rows, and then every byte of the
+    rows is proved to be the one the writer puts there:
+
+    - the separators: ``[[`` at the start and ``]]`` at the end, a space
+      after every comma, and ``]`` before and `` [`` after the comma that
+      ends a row;
+    - each index token: 1 to 18 ASCII digits, with no leading zero unless
+      it is ``0``, which is how ``json.dumps`` writes an int below 10**18;
+    - each value token: ``json.dumps(float(token))`` gives back the token.
+
+    These bytes tile the rows with the tokens between them, so the rows are
+    ``qubo._json_rows`` of the columns byte for byte, which writes indices
+    and values as ``json.dumps`` does, and ``json.loads`` reads the same
+    numbers from the file.
     """
     head, mid = b'{"n": ', f', "{key}": '.encode()
     at = data.find(mid)
@@ -40,53 +48,68 @@ def parse_rows(data: bytes, key: str, width: int) -> tuple[int, list[np.ndarray]
     count = data[len(head) : at]
     if not (count.isdigit() and len(count) <= 20 and b"%d" % int(count) == count):
         return None
-    seg = data[at + len(mid) : -2]
-    if seg == b"[]":
+    lo = at + len(mid)
+    if len(data) - lo == 4 and data.endswith(b"[]}\n"):
         return int(count), [np.empty(0, np.int64 if c < 2 else np.float64) for c in range(width)]
-    if width == 3 and not _values_repeat(seg[:_SAMPLE_BYTES]):
+    if data[lo : lo + 2] != b"[[" or not data.endswith(b"]]}\n"):
         return None
-    buf = np.frombuffer(seg, np.uint8)
-    comma = np.flatnonzero(buf == ord(","))
-    m = (comma.size + 1) // width
-    if not seg.startswith(b"[[") or not seg.endswith(b"]]") or m * width != comma.size + 1:
+    if width == 3 and not _values_repeat(data[lo : lo + _SAMPLE_BYTES]):
         return None
-    # token t lies between comma t - 1 and comma t, counting one before the
-    # first row and one after the last, less "], [" where a row ends
-    cut = np.concatenate([[-1], comma, [len(seg) - 1]])
-    del comma
+    # the rows and the space before them, a view of data; positions count
+    # from that space, and the cuts are the commas with that space and the
+    # last "]", so token t lies between cut t and cut t + 1, less "], ["
+    # where a row ends
+    buf = np.frombuffer(data, np.uint8, len(data) - lo - 1, lo - 1)
+    mark = buf == ord(",")
+    mark[0] = mark[-1] = True
+    cut = np.flatnonzero(mark)
+    del mark
+    m = (cut.size - 1) // width
+    if m * width != cut.size - 1:
+        return None
+    # ", " within a row and "], [" between rows; the closing "]]" keeps
+    # every position read here inside buf
+    comma, ends = cut[1:-1], cut[width:-1:width]
+    if (buf[1:][comma] != ord(" ")).any() or (buf[ends - 1] != ord("]")).any() or (buf[2:][ends] != ord("[")).any():
+        return None
     columns = [None] * width
     for c in range(width):
-        start = cut[c:-1:width] + 2 + (c == 0)
-        size = cut[c + 1 :: width] - (c == width - 1) - start
+        start = cut[c:-1:width] + (2 + (c == 0))
+        size = cut[c + 1 :: width] - start
+        size -= int(c == width - 1)
         columns[c] = _index_column(buf, start, size) if c < 2 else _value_column(buf, start, size)
+        del start, size
         if columns[c] is None:
             return None
-    del cut, start, size
-    if _json_rows(*columns).encode() != seg:
-        return None
     return int(count), columns
 
 
 def _index_column(buf: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray | None:
-    """The tokens ``buf[start[t] : start[t] + size[t]]`` as int64 digit sums,
-    or None for a token not of 1 to 18 characters."""
-    if size.min() < 1 or size.max() > 18:
+    """The tokens ``buf[start[t] : start[t] + size[t]]`` as int64, or None
+    unless each is 1 to 18 ASCII digits with no leading zero but ``0``."""
+    if size.min() < 1 or size.max() > 18 or ((buf[start] == ord("0")) & (size > 1)).any():
         return None
-    # digits summed from the right; a digit read before a shorter token is
-    # masked, and its position stays within -len(buf)
-    col, pos = np.zeros(size.size, np.int64), start + size - 1
-    for k in range(int(size.max())):
-        digit = buf[pos].astype(np.int64) - ord("0")
-        digit *= 10**k * (size > k)
+    # Horner's rule over the k-th digits from the right, k falling from the
+    # longest token's length: a byte read before a shorter token is masked
+    # to 0, and its position stays within -len(buf)
+    top = int(size.max())
+    col, pos = np.zeros(size.size, np.int64), start + size
+    pos -= top
+    for k in range(top - 1, -1, -1):
+        digit = buf[pos] - np.uint8(ord("0"))
+        digit *= size > k
+        if digit.max() > 9:
+            return None
+        col *= 10
         col += digit
-        pos -= 1
+        pos += 1
     return col
 
 
 def _value_column(buf: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray | None:
-    """The tokens ``buf[start[t] : start[t] + size[t]]`` as float64, each
-    distinct one through ``float`` once; None for a token not of 1 to 32
-    characters or not a number."""
+    """The tokens ``buf[start[t] : start[t] + size[t]]`` as float64, or None
+    unless each is a float as ``json.dumps`` spells it.  Each distinct token
+    goes through ``float`` and ``json.dumps`` once."""
     if size.min() < 1 or size.max() > 32:
         return None
     w = -(-int(size.max()) // 8) * 8
@@ -94,10 +117,19 @@ def _value_column(buf: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.nd
     tokens *= np.arange(w) < size[:, None]
     # one machine word per token where it fits, for a fast sort
     distinct, inverse = np.unique(tokens.view(np.uint64 if w == 8 else f"S{w}").ravel(), return_inverse=True)
+    del tokens
+    # the NUL padding is stripped here, so "2.0\0" and "2.0" share a
+    # spelling: each token's size must be its spelling's length too
+    spelled = distinct.view(f"S{w}").tolist()
     try:
-        return np.array([float(t) for t in distinct.view(f"S{w}").tolist()])[inverse]
+        values = [float(t) for t in spelled]
     except ValueError:
         return None
+    if json.dumps(values)[1:-1].encode().split(b", ") != spelled:
+        return None
+    if (np.array([len(t) for t in spelled])[inverse] != size).any():
+        return None
+    return np.array(values)[inverse]
 
 
 def _values_repeat(head: bytes) -> bool:

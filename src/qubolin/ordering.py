@@ -74,29 +74,45 @@ class OrderDag:
     edges: np.ndarray
 
     def __post_init__(self):
-        arr = np.stack(_table(_EDGES, self.edges, n=self.n), axis=1)
-        bad = np.flatnonzero(arr[:, 0] == arr[:, 1])
-        if bad.size:
-            raise ValueError(f"self-loop edge {tuple(arr[bad[0]].tolist())}")
-        bad = np.flatnonzero(((arr < 0) | (arr >= self.n)).any(axis=1))
-        if bad.size:
-            raise ValueError(f"edge {tuple(arr[bad[0]].tolist())} out of range for n={self.n}")
-        bad = np.flatnonzero((arr >= INDEX_LIMIT).any(axis=1))
-        if bad.size:
-            raise LimitError(f"edge {tuple(arr[bad[0]].tolist())} reaches the index limit of {INDEX_LIMIT}")
-        order, key = _pair_runs(arr[:, 0], arr[:, 1])
-        bad = order[1:][key[1:] == key[:-1]]
-        if bad.size:
-            raise ValueError(f"duplicate edge {tuple(arr[bad.min()].tolist())}")
-        key >>= 1
-        bad = np.minimum(order[1:], order[:-1])[key[1:] == key[:-1]]
-        if bad.size:
-            raise ValueError(f"edge {tuple(arr[bad.min()].tolist())} present together with its reverse")
-        arr.flags.writeable = False
-        object.__setattr__(self, "edges", arr)
+        object.__setattr__(self, "edges", _edge_array(self.n, self.edges))
+
+    @classmethod
+    def _of_columns(cls, n: int, columns: list[np.ndarray]) -> "OrderDag":
+        """The order of the edge columns ``columns``, checked as by the
+        constructor, with its edge array built once from them."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", _edge_array(n, columns=columns))
+        return g
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def _edge_array(n: int, entries=None, columns=None) -> np.ndarray:
+    """The read-only ``(m, 2)`` int64 edge array of ``entries`` or
+    ``columns``, after :func:`qubo._table` and the checks of :class:`OrderDag`;
+    a new array, whatever ``entries`` or ``columns`` hold."""
+    arr = np.stack(_table(_EDGES, entries, columns, n), axis=1)
+    bad = np.flatnonzero(arr[:, 0] == arr[:, 1])
+    if bad.size:
+        raise ValueError(f"self-loop edge {tuple(arr[bad[0]].tolist())}")
+    bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"edge {tuple(arr[bad[0]].tolist())} out of range for n={n}")
+    bad = np.flatnonzero((arr >= INDEX_LIMIT).any(axis=1))
+    if bad.size:
+        raise LimitError(f"edge {tuple(arr[bad[0]].tolist())} reaches the index limit of {INDEX_LIMIT}")
+    order, key = _pair_runs(arr[:, 0], arr[:, 1])
+    bad = order[1:][key[1:] == key[:-1]]
+    if bad.size:
+        raise ValueError(f"duplicate edge {tuple(arr[bad.min()].tolist())}")
+    key >>= 1
+    bad = np.minimum(order[1:], order[:-1])[key[1:] == key[:-1]]
+    if bad.size:
+        raise ValueError(f"edge {tuple(arr[bad.min()].tolist())} present together with its reverse")
+    arr.flags.writeable = False
+    return arr
 
 
 def _scan_order(n: int, src: np.ndarray, dst: np.ndarray) -> OrderDag:
@@ -445,4 +461,4 @@ def save_order(g: OrderDag, path: str | Path) -> None:
 
 def load_order(path: str | Path) -> OrderDag:
     n, rows, columns = _load_rows(path, "edges", 2)
-    return OrderDag(n, rows if columns is None else np.stack(columns, axis=1))
+    return OrderDag(n, rows) if columns is None else OrderDag._of_columns(n, columns)

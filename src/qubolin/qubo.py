@@ -164,10 +164,15 @@ def _canonical(n: int, entries=None, columns=None) -> tuple[np.ndarray, np.ndarr
     entries that fold to exactly zero are dropped.  The same literal key
     given twice is rejected, and so is a value that is not finite, as given
     or once folded.  A failure names the first offending entry, or the
-    folded key.
+    folded key.  A table already in canonical order, as the writer and the
+    generators make them, only drops its zeros.  The arrays returned are
+    new, whatever ``columns`` holds.
     """
     rows, cols, vals = _table(_TERMS, entries, columns, n)
     span = min(n, INDEX_LIMIT)
+    if rows.dtype == np.int64 and _in_order(rows, cols, vals, span):
+        keep = vals != 0.0
+        return rows[keep], cols[keep], vals[keep]
     outside = (rows < 0) | (cols < 0) | (rows >= span) | (cols >= span)
     inside = (np.where(outside, 0, rows), np.where(outside, 0, cols)) if outside.any() else (rows, cols)
     order, key = _pair_runs(*inside)
@@ -197,6 +202,19 @@ def _canonical(n: int, entries=None, columns=None) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"coefficient at ({lo[t]}, {hi[t]}) is not finite once folded: {float(vals[t])!r}")
     keep = vals != 0.0
     return lo[keep], hi[keep], vals[keep]
+
+
+def _in_order(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, span: int) -> bool:
+    """Whether the int64 table ``(rows, cols, vals)`` is canonical but for
+    zeros: indices in ``[0, span)`` with ``i <= j``, pair keys strictly
+    increasing and values finite.  No key then repeats or folds."""
+    if not rows.size:
+        return True
+    # with 0 <= rows <= cols < span the keys are exact, so they order the pairs
+    if rows.min() < 0 or cols.max() >= span or (rows > cols).any():
+        return False
+    key = _pair_keys(rows, cols)
+    return bool((key[1:] > key[:-1]).all() and np.isfinite(vals).all())
 
 
 class QuboMatrix:

@@ -18,6 +18,10 @@ from .qubo import QuboMatrix, _check_bytes
 
 __all__ = ["SynthParams", "generate_synthetic", "generate_hard"]
 
+# Bytes a generator may take per upper-triangle entry: the index, value and
+# draw arrays with the matrix built from them (50 measured at n = 300-2000).
+_TERM_BYTES = 64
+
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -50,7 +54,7 @@ def generate_synthetic(params: SynthParams) -> QuboMatrix:
         raise ValueError(f"scale must be a positive integer below 2**53, got s={s}")
     if not 0 < p < math.inf:
         raise ValueError(f"propensity must be positive and finite, got p={p}")
-    _check_bytes("term arrays", n, 24 * (n * (n + 1) // 2))
+    _check_bytes("term arrays", n, _TERM_BYTES * (n * (n + 1) // 2))
     # float64 holds every integer below 2**53; compared in floats, where an
     # overflow reads inf instead of raising in round or floor
     if s * p + max(s, p * (n - 1) * (s + 1)) >= 2**53:
@@ -72,7 +76,7 @@ def generate_hard(n: int, seed: int) -> QuboMatrix:
     """Matrix with every upper-triangle entry (diagonal included) i.i.d. uniform on {-1, 0, 1}."""
     if n < 2:
         raise ValueError(f"need at least 2 variables, got n={n}")
-    _check_bytes("term arrays", n, 24 * (n * (n + 1) // 2))
+    _check_bytes("term arrays", n, _TERM_BYTES * (n * (n + 1) // 2))
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n)
     vals = rng.integers(-1, 1, size=rows.size, endpoint=True)

@@ -349,7 +349,7 @@ class TestHugeVariableCount:
 
 @pytest.mark.parametrize("argv, message", [
     (["gen", "synth", "--n", "1000000", "--p", "2.0", "--seed", "0"],
-     "term arrays of n=1000000 needs 12000012000000 bytes"),
+     "term arrays of n=1000000 needs 32000032000000 bytes"),
     (["gen", "hard", "--n", "1000000", "--seed", "0"], "term arrays of n=1000000 needs"),
     (["exp", "od-reduction", "--n", "1000000", "--p-grid", "2.0", "--seeds", "1"], "term arrays of n=1000000 needs"),
     (["gen", "mkp", "--n", str(10**12), "--m", "1", "--alpha", "0.5", "--seed", "0"],

@@ -28,6 +28,7 @@ from qubolin import (
     generate_synthetic,
     load_qubo,
     od_count,
+    qubo,
     save_qubo,
     symmetric_coefficient,
 )
@@ -295,6 +296,104 @@ class TestDictOracle:
         path = tmp_path_factory.getbasetemp() / "json_load.json"
         path.write_text(json.dumps({"n": n, "terms": [list(e) for e in entries]}))
         assert load_qubo(path).terms == reference_from_entries(n, entries)
+
+
+@st.composite
+def canonical_tables(draw):
+    """``(n, rows, cols, vals)``: distinct pairs ``i <= j`` sorted by key, some
+    values zero, as the writer and the generators pass them."""
+    n = draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(lambda p: (min(p), max(p)))
+    pairs = sorted(draw(st.lists(pair, unique=True, max_size=25)))
+    vals = draw(st.lists(st.one_of(coefficients, st.sampled_from([0.0, -0.0])), min_size=len(pairs), max_size=len(pairs)))
+    rows, cols = (np.array([p[k] for p in pairs], dtype=np.int64) for k in (0, 1))
+    return n, rows, cols, np.array(vals, dtype=np.float64)
+
+
+def _one_fault(table, fault: str, at: int):
+    """``table`` with ``fault`` at its ``at % m``-th entry, key order kept, or
+    None where the table has no entry for it."""
+    n, rows, cols, vals = table
+    if fault == "out-of-range":  # (-1, 0) first or (n - 1, n) last
+        t, extra = (-1, (-1, 0, 1.0)) if at % 2 else (rows.size - 1, (n - 1, n, 1.0))
+    elif not rows.size:
+        return None
+    else:
+        t = at % rows.size
+        i, j, v = rows[t], cols[t], vals[t]
+        if fault == "non-finite":
+            vals = vals.copy()
+            vals[t] = (math.inf, -math.inf, math.nan)[at % 3]
+            return n, rows, cols, vals
+        if fault == "duplicate":
+            extra = (i, j, v + 1.0)
+        elif i < j and v != 0.0:
+            extra = (j, i, -v)  # the mirror that folds to zero
+        else:
+            return None
+    return n, *(np.insert(c, t + 1, e) for c, e in zip((rows, cols, vals), extra))
+
+
+def _built(n, rows, cols, vals):
+    """The matrix of the table, or the exception type and message."""
+    try:
+        return QuboMatrix.from_arrays(n, rows, cols, vals)
+    except Exception as exc:  # noqa: BLE001 - every error type is compared
+        return type(exc), str(exc)
+
+
+class TestCanonicalPassThrough:
+    """A table already in canonical order skips the sort and the fold."""
+
+    @given(canonical_tables(), st.randoms(use_true_random=False))
+    def test_any_shuffle_builds_the_same_matrix(self, table, rnd):
+        n, rows, cols, vals = table
+        perm = np.array(rnd.sample(range(rows.size), rows.size), dtype=np.int64)
+        q = QuboMatrix.from_arrays(n, rows, cols, vals)
+        assert q == QuboMatrix.from_arrays(n, rows[perm], cols[perm], vals[perm])
+        assert q == QuboMatrix.from_entries(n, zip(rows.tolist(), cols.tolist(), vals.tolist()))
+        assert not (q.vals == 0).any()
+
+    @given(
+        canonical_tables(),
+        st.sampled_from(["out-of-range", "duplicate", "mirror-folds-to-zero", "non-finite"]),
+        st.integers(0, 99),
+        st.randoms(use_true_random=False),
+    )
+    def test_one_fault_gives_the_same_outcome_sorted_as_shuffled(self, table, fault, at, rnd):
+        faulty = _one_fault(table, fault, at)
+        if faulty is None:
+            return
+        n, rows, cols, vals = faulty
+        perm = np.array(rnd.sample(range(rows.size), rows.size), dtype=np.int64)
+        got = _built(n, rows, cols, vals)
+        assert got == _built(n, rows[perm], cols[perm], vals[perm])
+        assert isinstance(got, QuboMatrix) == (fault == "mirror-folds-to-zero")
+
+    def test_negative_index_with_increasing_keys_rejected(self):
+        # -2**33 * INDEX_LIMIT wraps to 0 in int64, so the keys read 0 < 5
+        with pytest.raises(ValueError, match=r"index pair \(-8589934592, 5\) out of range for n=10"):
+            QuboMatrix.from_arrays(10, np.array([0, -(2**33)]), np.array([0, 5]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("table", [
+        ([0, 0, 1], [0, 2, 1], [1.0, 0.0, -2.0]),
+        ([1, 0, 2], [0, 2, 1], [1.0, 0.0, -2.0]),
+    ], ids=["canonical", "folded"])
+    def test_from_arrays_leaves_the_callers_arrays_alone(self, table):
+        given_arrays = [np.array(c, dtype=np.int64 if k < 2 else np.float64) for k, c in enumerate(table)]
+        q = QuboMatrix.from_arrays(3, *given_arrays)
+        for arr in given_arrays:
+            assert arr.flags.writeable
+            assert not any(np.shares_memory(arr, a) for a in (q.rows, q.cols, q.vals))
+
+    def test_written_and_generated_tables_pass_through(self, tmp_path, monkeypatch):
+        path = tmp_path / "q.json"
+        save_qubo(generate_synthetic(SynthParams(20, 2.0, 1)), path)
+        monkeypatch.setattr(qubo, "_pair_runs", None)
+        for make in (lambda: load_qubo(path), lambda: generate_hard(20, 1), lambda: generate_synthetic(SynthParams(20, 2.0, 1))):
+            assert make().n == 20
+        with pytest.raises(TypeError):
+            QuboMatrix.from_entries(3, [(1, 0, 1.0)])
 
 
 def _sparse_qubo(n: int, seed: int) -> QuboMatrix:

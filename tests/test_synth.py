@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qubolin import SynthParams, extract_order_dense, generate_hard, generate_synthetic, od_count
+from qubolin import SynthParams, extract_order_dense, generate_hard, generate_synthetic, od_count, synth
 
 
 class TestSyntheticFamily:
@@ -75,3 +77,20 @@ class TestHardFamily:
     def test_too_small(self):
         with pytest.raises(ValueError):
             generate_hard(1, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: generate_synthetic(SynthParams(n, 2.0, 1)),
+    lambda n: generate_hard(n, 1),
+], ids=["synth", "hard"])
+def test_generator_peaks_within_its_count(make):
+    # README: 49-50 bytes per upper-triangle entry at n = 300-2000
+    n = 300
+    make(n)
+    tracemalloc.start()
+    try:
+        make(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= synth._TERM_BYTES * (n * (n + 1) // 2)
