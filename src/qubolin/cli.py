@@ -46,23 +46,21 @@ def _write_gen_manifest(out: Path, command: str, params: dict) -> None:
     experiments.write_manifest(manifest, out.with_suffix(out.suffix + ".manifest.json"))
 
 
-def _cmd_gen_synth(args) -> int:
-    params = SynthParams(n=args.n, p=args.p, seed=args.seed, s=args.s)
-    q = generate_synthetic(params)
-    out = Path(args.out)
+def _save_generated(q, out: str, command: str, params: dict) -> int:
+    out = Path(out)
     save_qubo(q, out)
-    _write_gen_manifest(out, "gen synth", {"n": args.n, "s": args.s, "p": args.p, "seed": args.seed})
+    _write_gen_manifest(out, command, params)
     print(f"wrote {out} with n={q.n}, off-diagonals={od_count(q)}")
     return EXIT_OK
+
+
+def _cmd_gen_synth(args) -> int:
+    q = generate_synthetic(SynthParams(n=args.n, p=args.p, seed=args.seed, s=args.s))
+    return _save_generated(q, args.out, "gen synth", {"n": args.n, "s": args.s, "p": args.p, "seed": args.seed})
 
 
 def _cmd_gen_hard(args) -> int:
-    q = generate_hard(args.n, args.seed)
-    out = Path(args.out)
-    save_qubo(q, out)
-    _write_gen_manifest(out, "gen hard", {"n": args.n, "seed": args.seed})
-    print(f"wrote {out} with n={q.n}, off-diagonals={od_count(q)}")
-    return EXIT_OK
+    return _save_generated(generate_hard(args.n, args.seed), args.out, "gen hard", {"n": args.n, "seed": args.seed})
 
 
 def _cmd_gen_mkp(args) -> int:

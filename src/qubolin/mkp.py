@@ -21,7 +21,7 @@ import numpy as np
 from .errors import LimitError, ParseError
 from .linearize import linearize
 from .ordering import OrderDag
-from .qubo import QuboMatrix, _as_assignment, _check_bytes, _integral, _typed_column
+from .qubo import _TERM_BYTES, QuboMatrix, _as_assignment, _check_bytes, _integral, _typed_column
 from .solver import _bit_rows, _index_bits
 
 __all__ = [
@@ -292,30 +292,29 @@ def encode_qubo(inst: MkpInstance, lam: float) -> QuboEncoding:
     if not 0 < lam < math.inf:
         raise ValueError(f"penalty coefficient lambda must be positive and finite, got {lam}")
     blocks = slack_blocks(inst)
-    n = inst.n
-    # the entries before folding; the encoding peaks at 123 bytes per entry
-    entries = n * (n + 1) // 2 + sum(b.bits * (b.bits + 1) // 2 + n * b.bits for b in blocks)
-    _check_bytes(f"encoding of m={inst.m} constraints", n, 128 * entries)
+    n, size = inst.n, blocks[-1].offset + blocks[-1].bits
+    _check_bytes(f"encoding of m={inst.m} constraints", n, _TERM_BYTES * (size * (size + 1) // 2))
     w = inst.weights
-    dec = np.arange(n)
-    # the decision and slack diagonals take Python arithmetic, exact on an integer lam;
-    # a sum of m squared weights may pass 2**63
+    # the upper triangle of one dense square, filled block by block; the slack
+    # cells of two different constraints stay zero, and from_arrays drops them
+    a = np.zeros((size, size))
+    a[:n, :n] = w.T.astype(np.float64) @ w.astype(np.float64)
+    a[:n, :n] *= 2.0 * lam
+    # the diagonals take Python arithmetic, exact on an integer lam; a sum of
+    # m squared weights may pass 2**63
     sq = [sum(x * x for x in col) for col in w.T.tolist()]
-    rows, cols = [dec], [dec]
-    vals = [np.array([float(-v + lam * s) for v, s in zip(inst.values.tolist(), sq)])]
+    diag = [float(-v + lam * s) for v, s in zip(inst.values.tolist(), sq)]
     for block in blocks:
         st = np.array(block.weights, dtype=np.float64)
-        y = block.offset + np.arange(block.bits)
-        t, u = np.triu_indices(block.bits, 1)
-        rows += [y, y[t], np.repeat(dec, block.bits)]
-        cols += [y, y[u], np.tile(y, n)]
-        vals += [np.array([float(lam * s * s) for s in block.weights]), 2.0 * lam * st[t] * st[u],
-                 np.outer(-2.0 * lam * w[block.constraint], st).ravel()]
-    i, j = np.triu_indices(n, 1)
-    rows.append(i)
-    cols.append(j)
-    vals.append((2.0 * lam * (w.T.astype(np.float64) @ w.astype(np.float64)))[i, j])
-    qubo = QuboMatrix.from_arrays(blocks[-1].offset + blocks[-1].bits, *map(np.concatenate, (rows, cols, vals)))
+        y = slice(block.offset, block.offset + block.bits)
+        a[:n, y] = np.outer(-2.0 * lam * w[block.constraint], st)
+        a[y, y] = np.outer(2.0 * lam * st, st)
+        diag += [float(lam * s * s) for s in block.weights]
+    np.fill_diagonal(a, diag)
+    rows, cols = np.triu_indices(size)
+    vals = a[rows, cols]
+    del a
+    qubo = QuboMatrix.from_arrays(size, rows, cols, vals)
     return QuboEncoding(
         qubo=qubo,
         layout=blocks,

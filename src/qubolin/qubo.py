@@ -44,6 +44,11 @@ INDEX_LIMIT = 1 << 31
 # see the measured peaks in the README.
 LOAD_FACTOR = 16
 
+# Bytes that building a full upper triangle (the generators, the knapsack
+# encoding) may take per entry: its index and value arrays with the matrix
+# built from them (40-53 measured).
+_TERM_BYTES = 64
+
 _FLOAT_MAX = sys.float_info.max
 
 

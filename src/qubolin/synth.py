@@ -14,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboMatrix, _check_bytes
+from .qubo import _TERM_BYTES, QuboMatrix, _check_bytes
 
 __all__ = ["SynthParams", "generate_synthetic", "generate_hard"]
-
-# Bytes a generator may take per upper-triangle entry: the index, value and
-# draw arrays with the matrix built from them (50 measured at n = 300-2000).
-_TERM_BYTES = 64
 
 
 @dataclass(frozen=True)

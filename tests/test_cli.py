@@ -632,14 +632,14 @@ class TestEncodeDecode:
         ["exp", "mkp-gap", "--out", "x.csv"],
     ], ids=["encode", "encode-linearize", "decode", "mkp-gap"])
     def test_encoding_over_its_limit_exits_four(self, tmp_path, capsys, monkeypatch, argv):
-        # n=30, m=1 and 13 slack bits: 946 entries before folding at 128 bytes
+        # n=30, m=1 and 13 slack bits: 946 upper-triangle entries at 64 bytes
         # each, over a lowered limit, so nothing of the encoding is allocated
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "mkp", "--n", "30", "--m", "1", "--alpha", "0.5",
                      "--seed", "1", "--out", "inst.txt"]) == 0
-        monkeypatch.setattr(qubo, "DENSE_MAX_BYTES", 100_000)
+        monkeypatch.setattr(qubo, "DENSE_MAX_BYTES", 50_000)
         assert main([*argv, "--mkp", "inst.txt"]) == 4
-        assert "encoding of m=1 constraints of n=30 needs 121088 bytes" in capsys.readouterr().err
+        assert "encoding of m=1 constraints of n=30 needs 60544 bytes" in capsys.readouterr().err
         assert not Path(argv[-1]).exists()
 
     @pytest.mark.parametrize("samples_text, message", [

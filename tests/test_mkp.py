@@ -217,7 +217,7 @@ class TestGenerator:
         (extract_mkp_order, 100, 30, False),
     ], ids=["encode", "encode-m30", "order-all-tied", "order-m30"])
     def test_encode_path_peaks_within_its_count(self, monkeypatch, stage, n, m, tied):
-        # README: the encoding peaks at 0.96x its count, the dominance order
+        # README: the encoding peaks at 0.63-0.77x its count, the dominance order
         # at 0.97x where every pair of items is an edge
         inst = generate_mkp(n, m, 0.5, 0)
         if tied:

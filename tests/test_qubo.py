@@ -390,8 +390,11 @@ class TestCanonicalPassThrough:
         path = tmp_path / "q.json"
         save_qubo(generate_synthetic(SynthParams(20, 2.0, 1)), path)
         monkeypatch.setattr(qubo, "_pair_runs", None)
-        for make in (lambda: load_qubo(path), lambda: generate_hard(20, 1), lambda: generate_synthetic(SynthParams(20, 2.0, 1))):
-            assert make().n == 20
+        for make, n in ((lambda: load_qubo(path), 20), (lambda: generate_hard(20, 1), 20),
+                        (lambda: generate_synthetic(SynthParams(20, 2.0, 1)), 20),
+                        # two slack blocks of 13 bits beside the 20 items
+                        (lambda: encode_qubo(generate_mkp(20, 2, 0.5, 1), 0.37).qubo, 46)):
+            assert make().n == n
         with pytest.raises(TypeError):
             QuboMatrix.from_entries(3, [(1, 0, 1.0)])
 

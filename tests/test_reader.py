@@ -8,16 +8,21 @@ same matrix or order, or the same error.
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import qubolin
 from qubolin import OrderDag, QuboMatrix, generate_hard, load_qubo, save_qubo
-from qubolin import _rows, qubo
+from qubolin import _rows, ordering, qubo
 from qubolin.cli import main
 from qubolin.ordering import load_order, save_order
 
@@ -296,6 +301,30 @@ class TestLoadLimit:
         # an order file holds more int64 entries per byte than a QUBO file,
         # and its edge array is built once: 6.5x against 7.4x at n = 200
         assert _load_peak(tmp_path, "edges") <= _load_peak(tmp_path, "terms")
+
+    def test_order_columns_become_one_edge_array(self, monkeypatch):
+        # past the parse, load_order stacks the columns once: 41 bytes per
+        # edge with the pair sort, 57 if they were stacked before OrderDag
+        n = 300
+        columns = list(np.triu_indices(n, 1))
+        monkeypatch.setattr(ordering, "_load_rows", lambda path, key, width: (n, None, columns))
+        load_order("edges.json")
+        tracemalloc.start()
+        try:
+            assert len(load_order("edges.json")) == columns[0].size
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * columns[0].size
+
+
+def test_cli_import_leaves_the_reader_unloaded():
+    # where no bytecode cache is written, a loaded module costs its compile
+    # time in every command, also in those that read no file
+    code = "import sys, qubolin.cli; print('qubolin._rows' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(qubolin.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def _load_peak(tmp_path, key) -> float:
