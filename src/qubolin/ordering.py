@@ -10,7 +10,6 @@ the other bits are.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -38,8 +37,10 @@ __all__ = [
 # doubling keeps the call count logarithmic for rows that survive, and small
 # remainders are finished in one go.  Block sizes never change the edge set,
 # only the pruning granularity.  The lower bound of sparse extraction reads
-# the same first block of columns.
+# the same first block of columns, and drops the pairs it rejects after the
+# first _FIRST_DROP of them.
 _FIRST_CHUNK = 32
+_FIRST_DROP = 8
 _MAX_CHUNK = 512
 _TAIL_BUDGET = 32768
 
@@ -77,12 +78,12 @@ class OrderDag:
         object.__setattr__(self, "edges", _edge_array(self.n, self.edges))
 
     @classmethod
-    def _of_columns(cls, n: int, columns: list[np.ndarray]) -> "OrderDag":
-        """The order of the edge columns ``columns``, checked as by the
-        constructor, with its edge array built once from them."""
+    def _of(cls, n: int, edges: np.ndarray) -> "OrderDag":
+        """Wrap an ``(m, 2)`` int64 edge array that passes the constructor's checks, without them."""
         g = object.__new__(cls)
+        edges.flags.writeable = False
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", _edge_array(n, columns=columns))
+        object.__setattr__(g, "edges", edges)
         return g
 
     def __len__(self) -> int:
@@ -119,18 +120,18 @@ def _scan_order(n: int, src: np.ndarray, dst: np.ndarray) -> OrderDag:
     """The order of the admitted pairs ``(src[t], dst[t])``, given row-major,
     after the scan's reverse-edge rule: ``(i, j)`` with ``j < i`` goes when
     ``(j, i)`` is admitted too.  No score depends on another edge, so the
-    rule can follow the scoring."""
+    rule can follow the scoring, and no check of :class:`OrderDag` can fail."""
     order, key = _pair_runs(src, dst)
     # the pairs are distinct: a run of two is (i, j) with i < j, then its reverse
     drop = order[1:][(key[1:] >> 1) == (key[:-1] >> 1)]
-    del order, key  # before OrderDag copies the edges
-    return OrderDag(n, np.delete(np.stack([src, dst], axis=1), drop, axis=0))
+    del order, key  # before the edge array is built
+    return OrderDag._of(n, np.delete(np.stack([src, dst], axis=1), drop, axis=0))
 
 
 def _degrees(q: QuboMatrix, nodes: np.ndarray) -> np.ndarray:
-    """Number of couplings of each variable in ``nodes``."""
-    indptr = q._csr[0]
-    return indptr[nodes + 1] - indptr[nodes]
+    """Number of couplings of each variable in ``nodes``, in O(n + len(nodes)):
+    one pass over the row pointers is cheaper than two gathers from them."""
+    return np.diff(q._csr[0]).take(nodes)
 
 
 def _neighbours(q: QuboMatrix, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,32 +256,42 @@ def _row_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def _first_columns_slab(q: QuboMatrix) -> np.ndarray:
     """Dense couplings ``a_vk`` of every variable v at the columns
-    k < ``_FIRST_CHUNK``, plus one zero column for the clears of
-    :func:`_first_columns_bound`."""
+    k < ``_FIRST_CHUNK``, column by column (``slab[k, v]``) and NaN at
+    v = k, then the diagonal ``Q_vv`` in a last row."""
     n = q.n
     w = min(_FIRST_CHUNK, n)
     _check_bytes("first-columns slab", n, 8 * n * (w + 1))
     indptr, indices, data = q._csr
-    head = np.flatnonzero(indices < w)
-    slab = np.zeros((n, w + 1))
-    slab[np.searchsorted(indptr, head, side="right") - 1, indices[head]] = data[head]
+    # a_vk = a_kv: column k holds the neighbours of row k
+    slab = np.zeros((w + 1, n))
+    slab[np.repeat(np.arange(w), np.diff(indptr[: w + 1])), indices[: indptr[w]]] = data[: indptr[w]]
+    np.fill_diagonal(slab, np.nan)
+    slab[w] = q._diag
     return slab
 
 
 def _first_columns_bound(q: QuboMatrix, slab: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Lower bound of :func:`_pair_scores`: the score sum over the columns
-    of ``slab`` alone.
+    of ``slab`` alone, added up one column at a time.
 
-    Each column left out would only add a nonnegative term, so a bound
-    above zero already rejects the pair.
+    Each column left out would only add a nonnegative term, so a running
+    bound above zero already rejects the pair: such pairs stop after
+    ``_FIRST_DROP`` columns, with the bound reached so far.
     """
-    w = slab.shape[1] - 1
-    diff = slab[dst]
-    diff -= slab[src]
-    t = np.arange(src.size)
-    # excluded positions k = i and k = j at or beyond w clear the zero column
-    diff[t, np.minimum(src, w)] = diff[t, np.minimum(dst, w)] = 0.0
-    return q._diag[dst] - q._diag[src] + np.maximum(diff, 0.0, out=diff).sum(axis=1)
+    w = slab.shape[0] - 1
+    bound = diag = slab[w].take(dst) - slab[w].take(src)
+    run, alive = np.zeros(src.size), slice(None)
+    for k in range(w):
+        if k == _FIRST_DROP:
+            bound = diag + run
+            alive = np.flatnonzero(bound <= 0.0)
+            diag, run, src, dst = diag[alive], run[alive], src[alive], dst[alive]
+        t = slab[k].take(dst)
+        t -= slab[k].take(src)
+        # the excluded positions k = i and k = j read NaN, which fmax drops
+        run += np.fmax(t, 0.0, out=t)
+    bound[alive] = diag + run
+    return bound
 
 
 def score_pair(q: QuboMatrix, i: int, j: int) -> float:
@@ -372,30 +383,30 @@ def extract_order_sparse(q: QuboMatrix) -> OrderDag:
 
     Every directed pair ``(i, j)`` joined by a quadratic term that passes
     the guard ``Q_jj <= Q_ii`` is scored exactly.  Light pairs (see
-    :func:`_pair_scores`) go straight to the exact score; a heavy pair first
-    gets the first-columns lower bound, chunk by chunk, and only the pairs
+    :func:`_pair_scores`) go straight to the exact score; heavy pairs first
+    get the first-columns lower bound, column by column, and only the pairs
     it does not reject are scored.  The row-major scan's reverse-edge rule
     then drops ``(i, j)`` with ``j < i`` whenever ``(j, i)`` was admitted
     too, and edges come out in row-major order, so the result equals
     :func:`extract_order_dense` restricted to coupled pairs, in the same
-    sequence.  Time is O(couplings * degree) on sparse input, and
-    O(heavy pairs * _FIRST_CHUNK + surviving heavy pairs * n) for the rest.
-    No n x n array is allocated: beyond the coupled pairs, memory stays
-    within a few ``_SCORE_BLOCK`` budgets.
+    sequence.  Time is O(couplings * degree) on sparse input, and O(heavy
+    pairs * 8 + pairs past 8 columns * 24 + surviving heavy pairs * n) for
+    the rest.  No n x n array is allocated: beyond the coupled pairs,
+    memory stays within a few ``_SCORE_BLOCK`` budgets.
     """
     n = q.n
     indptr, dst, _ = q._csr
     src = np.repeat(np.arange(n), np.diff(indptr))
-    guard = q._diag[dst] <= q._diag[src]
-    src, dst = src[guard], dst[guard]
+    # positions, then take: a boolean mask of this random pattern copies slower
+    t = np.flatnonzero(q._diag.take(dst) <= q._diag.take(src))
+    src, dst = src.take(t), dst.take(t)
     heavy = np.flatnonzero(~_is_light(q, src, dst))
     if heavy.size:
         slab = _first_columns_slab(q)
-        step = max(1, _SCORE_BLOCK // slab.shape[1])
         alive = np.ones(src.size, dtype=bool)
-        for lo in range(0, heavy.size, step):
-            t = heavy[lo : lo + step]
-            alive[t] = _first_columns_bound(q, slab, src[t], dst[t]) <= 0.0
+        for lo in range(0, heavy.size, _SCORE_BLOCK // 4):
+            t = heavy[lo : lo + _SCORE_BLOCK // 4]
+            alive[t] = _first_columns_bound(q, slab, src.take(t), dst.take(t)) <= 0.0
         src, dst = src[alive], dst[alive]
     admitted = _pair_scores(q, src, dst) <= 0.0
     return _scan_order(n, src[admitted], dst[admitted])
@@ -403,33 +414,36 @@ def extract_order_sparse(q: QuboMatrix) -> OrderDag:
 
 def topological_order(g: OrderDag) -> list[int] | None:
     """A topological sort of the graph, or None if it contains a cycle."""
-    # in-degrees, adjacency lists (an empty list takes 56 bytes) and the result
-    _check_bytes("topological sort", g.n, 80 * g.n)
+    # in-degrees, adjacency lists (an empty list takes 56 bytes), the result;
+    # per edge its indices as list items and an adjacency entry
+    _check_bytes("topological sort", g.n, 80 * g.n + 96 * len(g))
     indeg = [0] * g.n
     out: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.edges.tolist():
+    for i, j in zip(*g.edges.T.tolist()):
         out[i].append(j)
         indeg[j] += 1
-    queue = deque(v for v in range(g.n) if indeg[v] == 0)
-    order = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
+    # the result is the queue: a for loop reads what is appended while it runs
+    order = [v for v in range(g.n) if indeg[v] == 0]
+    for v in order:
         for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
+                order.append(w)
     return order if len(order) == g.n else None
 
 
 def find_order_violation(q: QuboMatrix, g: OrderDag):
     """First reason the order fails certification, or None if it passes.
 
-    Returns ``("cycle", None)`` or ``("score", (i, j, s))``.
+    Returns ``("cycle", None)`` or ``("score", (i, j, s))``.  With no edge
+    (i, j) where ``Q_jj > Q_ii``, a cycle keeps Q_ii, so only the edges with
+    ``Q_jj = Q_ii`` are sorted; else all are, so a cycle is found first.
     """
     if q.n != g.n:
         raise ValueError(f"order over {g.n} variables does not match QUBO with n={q.n}")
-    if topological_order(g) is None:
+    _check_bytes("topological sort", g.n, 80 * g.n)  # before the smaller diagonal
+    rise = q._diag[g.edges[:, 1]] - q._diag[g.edges[:, 0]]
+    if topological_order(g if (rise > 0.0).any() else OrderDag._of(g.n, g.edges[rise == 0.0])) is None:
         return ("cycle", None)
     scores = _pair_scores(q, g.edges[:, 0], g.edges[:, 1])
     bad = np.flatnonzero(scores > 0.0)
@@ -461,4 +475,4 @@ def save_order(g: OrderDag, path: str | Path) -> None:
 
 def load_order(path: str | Path) -> OrderDag:
     n, rows, columns = _load_rows(path, "edges", 2)
-    return OrderDag(n, rows) if columns is None else OrderDag._of_columns(n, columns)
+    return OrderDag(n, rows) if columns is None else OrderDag._of(n, _edge_array(n, columns=columns))

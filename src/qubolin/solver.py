@@ -208,7 +208,8 @@ def _anneal_one(a: np.ndarray, diag: np.ndarray, betas: np.ndarray, rng) -> list
     n = diag.shape[0]
     x0 = rng.integers(0, 2, size=n).astype(np.float64)
     g = a @ x0
-    x, d, rows, exp = x0.tolist(), diag.tolist(), list(a), math.exp
+    # a memoryview reads a field as a float faster than g.item(i); same ufuncs as g += a_i
+    x, d, rows, exp, field, add, sub = x0.tolist(), diag.tolist(), list(a), math.exp, memoryview(g), np.add, np.subtract
     for beta in betas.tolist():
         nb = -beta
         order = rng.permutation(n).tolist()
@@ -217,14 +218,14 @@ def _anneal_one(a: np.ndarray, diag: np.ndarray, betas: np.ndarray, rng) -> list
             # a has a zeroed diagonal here, so g_i = sum_{j != i} a_ij x_j;
             # delta = (1 - 2 x_i) * (d_i + g_i), the sign taken by the branch
             if x[i]:
-                delta = -(d[i] + g.item(i))
+                delta = -(d[i] + field[i])
                 if delta <= 0.0 or u < exp(nb * delta):
-                    g -= rows[i]
+                    sub(g, rows[i], g)
                     x[i] = 0.0
             else:
-                delta = d[i] + g.item(i)
+                delta = d[i] + field[i]
                 if delta <= 0.0 or u < exp(nb * delta):
-                    g += rows[i]
+                    add(g, rows[i], g)
                     x[i] = 1.0
     return x
 

@@ -84,6 +84,21 @@ def reference_extraction(q: QuboMatrix, prune: bool = True):
     return tuple(ordered)
 
 
+def reference_csr(q: QuboMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The neighbour lists ``(indptr, indices, data)`` of ``q`` by one sort of
+    the pair keys ``i * INDEX_LIMIT + j`` of both orientations of every
+    coupling, as ``QuboMatrix._csr`` built them before."""
+    from qubolin.qubo import INDEX_LIMIT
+
+    off = q.rows != q.cols
+    i, j = q.rows[off], q.cols[off]
+    key = np.concatenate([i * INDEX_LIMIT + j, j * INDEX_LIMIT + i])
+    perm = np.argsort(key)
+    key = key[perm]
+    data = np.concatenate([q.vals[off], q.vals[off]])[perm]
+    return np.searchsorted(key, np.arange(q.n + 1) * INDEX_LIMIT), key % INDEX_LIMIT, data
+
+
 def reference_score(q: QuboMatrix, i: int, j: int) -> float:
     """Literal scalar transcription of the pair score
     ``sum(max(0, a_jk - a_ik) for k != i, j) + a_jj - a_ii``."""

@@ -346,6 +346,18 @@ class TestHugeVariableCount:
         assert f"{what} of n={10**12} needs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sort_counts_its_edges(self, tmp_path, capsys, monkeypatch):
+        # 80 bytes for each of the 10,000 variables fit under this limit, the
+        # 96 more for each of the 200 tie edges (a chain over zero diagonals) do not
+        monkeypatch.setattr(qubo, "DENSE_MAX_BYTES", 810_000)
+        qubo_path, order_path = tmp_path / "q.json", tmp_path / "order.json"
+        qubo_path.write_text(json.dumps({"n": 10_000, "terms": [[0, 1, 1.0]]}))
+        order_path.write_text(json.dumps({"n": 10_000, "edges": [[k, k + 1] for k in range(200)]}))
+        out = tmp_path / "lin.json"
+        assert main(["linearize", "--in", str(qubo_path), "--order", str(order_path), "--out", str(out)]) == 4
+        assert "topological sort of n=10000 needs 819200 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv, message", [
     (["gen", "synth", "--n", "1000000", "--p", "2.0", "--seed", "0"],

@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     qubo_with_symmetric_block,
     random_integer_qubo,
+    reference_csr,
     reference_extraction,
     reference_order_fault,
     reference_score,
@@ -26,7 +27,8 @@ from qubolin import (
     symmetric_coefficient,
     verify_order,
 )
-from qubolin import ordering
+from qubolin import ordering, qubo
+from qubolin.errors import LimitError
 from qubolin.ordering import find_order_violation, load_order, save_order, topological_order
 
 
@@ -291,6 +293,46 @@ class TestScoreKernels:
         assert peak <= 4 * counted
 
 
+class TestNeighbourLists:
+    """``QuboMatrix._csr`` merges the canonical order's runs of upper and
+    lower neighbours: the same arrays as one sort of all pair keys."""
+
+    @staticmethod
+    def assert_as_key_sort(q: QuboMatrix):
+        for got, want in zip(q._csr, reference_csr(q), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_corpus_keeps_its_arrays(self):
+        for q in _kernel_corpus() + [generate_hard(500, seed=1)]:
+            self.assert_as_key_sort(q)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 14), st.integers(0, 3), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 10_000))
+    @example(0, 0, 0.0, False, 0)
+    @example(1, 0, 1.0, False, 0)
+    @example(6, 0, 1.0, True, 0)
+    def test_small_inputs_keep_their_arrays(self, n, isolated, density, diagonal_only, seed):
+        # `isolated` trailing variables without any term, or no coupling at all
+        base = random_integer_qubo(np.random.default_rng(seed), n, density=density, low=-6, high=6)
+        on = base.rows == base.cols if diagonal_only else slice(None)
+        self.assert_as_key_sort(QuboMatrix.from_arrays(n + isolated, base.rows[on], base.cols[on], base.vals[on]))
+
+    def test_heavy_extraction_peak_memory(self):
+        # README: on hard n = 300 every coupled pair is heavy; extraction peaks
+        # within 112 bytes per coupling (97 measured, in building these
+        # lists), the first-columns bound taking pairs a quarter budget at a time
+        q = generate_hard(300, seed=1)
+        couplings = int(np.count_nonzero(q.rows != q.cols))
+        assert not ordering._is_light(q, *_coupled_pairs(q)).any()
+        tracemalloc.start()
+        try:
+            extract_order_sparse(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 112 * couplings
+
+
 class TestVerifyOrder:
     def test_worked_example_order_is_certified(self, example_q):
         assert verify_order(example_q, OrderDag(3, ((0, 1), (0, 2))))
@@ -311,6 +353,49 @@ class TestVerifyOrder:
     def test_dimension_mismatch(self, example_q):
         with pytest.raises(ValueError):
             verify_order(example_q, OrderDag(4, ()))
+
+    def test_cycle_among_ties_is_found(self):
+        # 1 -> 2 -> 3 -> 1 keeps the diagonal; 0 -> 1 lowers it
+        q = QuboMatrix.from_entries(4, [(0, 0, -1), (1, 1, -3), (2, 2, -3), (3, 3, -3)])
+        assert find_order_violation(q, OrderDag(4, ((0, 1), (1, 2), (2, 3), (3, 1)))) == ("cycle", None)
+        assert find_order_violation(q, OrderDag(4, ((0, 1), (1, 2), (2, 3)))) is None
+
+    def test_cycle_through_a_rising_edge_is_a_cycle(self):
+        # (2, 0) raises the diagonal, so it scores above 0; the cycle comes first
+        q = QuboMatrix.from_entries(3, [(0, 0, -1), (1, 1, -2), (2, 2, -3)])
+        assert find_order_violation(q, OrderDag(3, ((0, 1), (1, 2), (2, 0)))) == ("cycle", None)
+        assert find_order_violation(q, OrderDag(3, ((0, 1), (2, 0)))) == ("score", (2, 0, 2.0))
+
+    def test_only_tie_edges_are_sorted(self, monkeypatch):
+        sorted_edges = []
+        sort = ordering.topological_order
+        monkeypatch.setattr(ordering, "topological_order", lambda g: sorted_edges.append(len(g)) or sort(g))
+        q = generate_synthetic(SynthParams(60, 2.0, seed=3))
+        g = extract_order_dense(q)
+        assert len(g) > 0 and find_order_violation(q, g) is None
+        # an extracted dense p=2 order has no tie edge
+        assert sorted_edges == [0]
+        d = q._diag
+        listed = {(i, j) for i, j in g.edges.tolist()}
+        i, j = next((i, j) for i in range(q.n) for j in range(q.n)
+                    if d[j] > d[i] and (i, j) not in listed and (j, i) not in listed)
+        rising = OrderDag(q.n, np.concatenate([g.edges, [[i, j]]]))
+        assert find_order_violation(q, rising)[0] in ("cycle", "score")
+        assert sorted_edges[-1] == len(rising)
+
+    def test_sort_counts_edges_before_allocating(self, monkeypatch):
+        chain = OrderDag(1000, np.stack([np.arange(999), np.arange(1, 1000)], axis=1))
+        assert ordering.topological_order(chain) == list(range(1000))
+        # 80 bytes per variable fit, 96 more per edge do not
+        monkeypatch.setattr(qubo, "DENSE_MAX_BYTES", 80 * 1000 + 96 * 999 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError, match="topological sort of n=1000 needs 175904 bytes"):
+                ordering.topological_order(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 1000
 
     @pytest.mark.parametrize("block", [ordering._SCORE_BLOCK, 40])
     def test_first_violation_matches_scalar_score_oracle(self, monkeypatch, block):
@@ -449,6 +534,26 @@ class TestOrderDag:
         # of them reversed, peaks within 5x 16 bytes per pair (3.4x measured)
         src, dst = self.many_pairs(0.05)
         assert self.traced_peak(ordering._scan_order, 1500, src, dst) <= 5 * 16 * src.size
+
+    def test_scan_order_is_the_checked_order(self):
+        # the reverse-edge rule over the coupled pairs (every pair comes with
+        # its reverse) and over those that score <= 0, against the literal rule
+        for q in _kernel_corpus():
+            src, dst = _coupled_pairs(q)
+            for keep in (slice(None), ordering._pair_scores(q, src, dst) <= 0.0):
+                pairs = list(zip(src[keep].tolist(), dst[keep].tolist()))
+                present = set(pairs)
+                want = OrderDag(q.n, [(i, j) for i, j in pairs if not (j < i and (j, i) in present)])
+                g = ordering._scan_order(q.n, src[keep], dst[keep])
+                assert g.n == want.n and g.edges.dtype == want.edges.dtype
+                assert np.array_equal(g.edges, want.edges) and not g.edges.flags.writeable
+
+    def test_scan_order_peak_on_a_dense_order(self):
+        # README: the pairs of a total order over 1000 variables, 16 bytes
+        # each, peak within 3x (2.6x measured; 3.6x when they were checked
+        # again as an OrderDag)
+        i, j = np.triu_indices(1000, 1)
+        assert self.traced_peak(ordering._scan_order, 1000, i, j) <= 3 * 16 * i.size
 
     def test_indices_at_the_limit(self):
         top = ordering.INDEX_LIMIT - 1
