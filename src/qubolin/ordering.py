@@ -145,11 +145,12 @@ def _neighbours(q: QuboMatrix, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _coupling_rows(q: QuboMatrix, nodes: np.ndarray) -> np.ndarray:
-    """Dense coupling rows of ``nodes``: ``a_vk`` at k != v, zero at k = v."""
+    """Dense coupling rows of ``nodes``: ``a_vk`` at k != v, NaN at k = v."""
     n = q.n
     t, k, a = _neighbours(q, nodes)
     rows = np.zeros((nodes.size, n))
     rows.reshape(-1)[t * n + k] = a
+    rows[np.arange(nodes.size), nodes] = np.nan
     return rows
 
 
@@ -195,12 +196,13 @@ def _support_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarr
 
     Only the columns k in N(i) or N(j) add to the score of (i, j): the term
     is ``max(0, a_jk - a_ik)`` at k in N(j) and ``max(0, -a_ik)`` at k in
-    N(i) but not in N(j), with k = i and k = j left out.  The entries of
-    N(j) and N(i) are merged by the key ``t * n + k``, a column in both
-    folds to ``a_jk - a_ik``, and ``np.bincount`` sums the positive parts
-    per pair.  A neighbour entry holds about four times the memory of a
-    dense value, so pairs go in chunks of about ``_SCORE_BLOCK // 4``
-    entries.  Time is O((deg(i) + deg(j)) * log(deg(i) + deg(j))) per pair.
+    N(i) but not in N(j).  Column i, in N(j) only, and column j, in N(i)
+    only, read NaN, which ``np.fmax`` drops.  The entries of N(j) and N(i)
+    are merged by the key ``t * n + k``, a column in both folds to
+    ``a_jk - a_ik``, and ``np.bincount`` sums the positive parts per pair.
+    A neighbour entry holds about four times the memory of a dense value,
+    so pairs go in chunks of about ``_SCORE_BLOCK // 4`` entries.  Time is
+    O((deg(i) + deg(j)) * log(deg(i) + deg(j))) per pair.
     """
     n = q.n
     scores = q._diag[dst] - q._diag[src]
@@ -211,9 +213,8 @@ def _support_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarr
         i, j = src[lo:hi], dst[lo:hi]
         t, k_j, a_jk = _neighbours(q, j)
         u, k_i, a_ik = _neighbours(q, i)
-        # column i sits in N(j) only and column j in N(i) only
-        a_jk[k_j == i[t]] = 0.0
-        a_ik[k_i == j[u]] = 0.0
+        a_jk[k_j == i[t]] = np.nan
+        a_ik[k_i == j[u]] = np.nan
         t, a = np.concatenate([t, u]), np.concatenate([a_jk, -a_ik])
         key = t * n + np.concatenate([k_j, k_i])
         # both halves ascend, so the stable sort merges two runs; a column in
@@ -223,7 +224,7 @@ def _support_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarr
         twice = np.flatnonzero(key[1:] == key[:-1])
         a[twice] += a[twice + 1]
         a[twice + 1] = 0.0
-        scores[lo:hi] += np.bincount(t, np.maximum(a, 0.0, out=a), minlength=hi - lo)
+        scores[lo:hi] += np.bincount(t, np.fmax(a, 0.0, out=a), minlength=hi - lo)
     return scores
 
 
@@ -234,8 +235,8 @@ def _row_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     most ``step`` sources times ``step`` targets, whose dense coupling rows
     are built once per cell; a row is thus built about n / step + 1 times
     rather than once per pair.  A cell is scored in blocks of ``step``
-    pairs: each takes the differences ``a_jk - a_ik`` per pair, clears the
-    excluded positions k = i and k = j and sums the positive part.  Time is
+    pairs: each takes the differences ``a_jk - a_ik`` per pair, NaN at k = i
+    and k = j, and sums their positive parts with ``np.fmax``.  Time is
     O(len(src) * n); memory stays within a few ``_SCORE_BLOCK`` budgets.
     """
     n = q.n
@@ -248,9 +249,7 @@ def _row_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             for lo in range(0, cell.size, step):
                 block = cell[lo : lo + step]
                 diff = dst_rows[dst_loc[lo : lo + step]] - src_rows[src_loc[block]]
-                t = np.arange(block.size)
-                diff[t, src[block]] = diff[t, dst[block]] = 0.0
-                scores[block] += np.maximum(diff, 0.0, out=diff).sum(axis=1)
+                scores[block] += np.fmax(diff, 0.0, out=diff).sum(axis=1)
     return scores
 
 
@@ -315,16 +314,17 @@ def _admitted_rows(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
     <= 0.  Rows are mutually independent, which makes the inner work
     vectorizable over j; the reverse-edge rule is left to :func:`_scan_order`.
 
-    Scores accumulate over k in blocks.  Each block adds a nonnegative
-    amount, and the two excluded positions k = i and k = j are discounted up
-    front, so a running score above zero is already conclusive and dropping
-    the pair keeps the exact edge set of the full sum.
+    Scores accumulate over k in blocks.  The diagonal holds NaN, which
+    ``np.fmax`` drops, so each block adds the nonnegative terms of its
+    columns k != i, j: a running score above zero is already conclusive
+    and dropping the pair keeps the exact edge set of the full sum.
     """
     n = q.n
     if n <= 1:
         return
     a = q.dense_symmetric()
-    diag = a.diagonal().copy()
+    np.fill_diagonal(a, np.nan)
+    diag = q._diag
     for i in range(n):
         mask = diag <= diag[i]
         mask[i] = False
@@ -332,12 +332,9 @@ def _admitted_rows(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
         if cand.size == 0:
             continue
         row_i = a[i]
-        # the excluded positions k = i and k = j of the score sum; by symmetry
-        # a[:, i] equals row_i, so both discounts are contiguous vector ops
-        corr = np.maximum(row_i - diag[i], 0.0) + np.maximum(diag - row_i, 0.0)
         hi = min(_FIRST_CHUNK, n)
-        head = np.maximum(a[:, :hi] - row_i[:hi], 0.0).sum(axis=1)
-        score = diag[cand] - diag[i] - corr[cand] + head[cand]
+        head = np.fmax(a[:, :hi] - row_i[:hi], 0.0).sum(axis=1)
+        score = diag[cand] - diag[i] + head[cand]
         alive = cand
         keep = score <= 0.0
         if not keep.all():
@@ -351,7 +348,7 @@ def _admitted_rows(q: QuboMatrix) -> Iterator[tuple[int, np.ndarray]]:
             else:
                 hi = min(lo + width, n)
             block = a[:, lo:hi].take(alive, axis=0)
-            score = score + np.maximum(block - row_i[lo:hi], 0.0).sum(axis=1)
+            score = score + np.fmax(block - row_i[lo:hi], 0.0).sum(axis=1)
             keep = score <= 0.0
             if not keep.all():
                 alive = alive[keep]
@@ -435,7 +432,8 @@ def topological_order(g: OrderDag) -> list[int] | None:
 def find_order_violation(q: QuboMatrix, g: OrderDag):
     """First reason the order fails certification, or None if it passes.
 
-    Returns ``("cycle", None)`` or ``("score", (i, j, s))``.  With no edge
+    Returns ``("cycle", None)`` or ``("score", (i, j, s))`` for the first
+    edge whose score is not <= 0, the test of both engines.  With no edge
     (i, j) where ``Q_jj > Q_ii``, a cycle keeps Q_ii, so only the edges with
     ``Q_jj = Q_ii`` are sorted; else all are, so a cycle is found first.
     """
@@ -446,7 +444,7 @@ def find_order_violation(q: QuboMatrix, g: OrderDag):
     if topological_order(g if (rise > 0.0).any() else OrderDag._of(g.n, g.edges[rise == 0.0])) is None:
         return ("cycle", None)
     scores = _pair_scores(q, g.edges[:, 0], g.edges[:, 1])
-    bad = np.flatnonzero(scores > 0.0)
+    bad = np.flatnonzero(~(scores <= 0.0))
     if bad.size:
         i, j = g.edges[bad[0]].tolist()
         return ("score", (i, j, float(scores[bad[0]])))

@@ -306,18 +306,19 @@ class QuboMatrix:
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, indices, data)``: the neighbours ``j`` of ``i``, ascending,
-        and their couplings ``a_ij`` at ``indptr[i]:indptr[i + 1]``: a stable sort
-        of the lower ones by column, merged with the upper ones in key order."""
+        and their couplings ``a_ij`` at ``indptr[i]:indptr[i + 1]``: one stable
+        sort by row of both orientations, lower neighbours first."""
         n = self.n
         _check_bytes("row pointers", n, 8 * (n + 1))
         off = self.rows != self.cols
         i, j, a = self.rows[off], self.cols[off], self.vals[off]
         # on the narrowest type that holds n: numpy sorts up to 16 bits by radix
-        p = np.argsort(j.astype(np.min_scalar_type(n)), kind="stable")
-        v = np.arange(n + 1)
-        indptr = np.searchsorted(j, v, sorter=p) + np.searchsorted(i, v)
-        perm = np.argsort(np.concatenate([j[p], i]), kind="stable")
-        return indptr, np.concatenate([i[p], j])[perm], np.concatenate([a[p], a])[perm]
+        row = np.concatenate([j, i]).astype(np.min_scalar_type(n))
+        perm = np.argsort(row, kind="stable")
+        indptr = np.searchsorted(row, np.arange(n + 1, dtype=row.dtype), sorter=perm)
+        indices = np.concatenate([i, j])[perm]
+        del row, i, j  # before the values are gathered
+        return indptr, indices, np.concatenate([a, a])[perm]
 
     def dense_symmetric(self) -> np.ndarray:
         """Dense symmetric coefficient matrix: ``a_ij`` off-diagonal, ``Q_ii`` on it.

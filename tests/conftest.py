@@ -17,6 +17,19 @@ from qubolin import QuboMatrix
 
 
 @pytest.fixture
+def overflow_q() -> QuboMatrix:
+    """Four variables with coefficients of +-1e308, whose score sums overflow.
+
+    Edge (0, 1) scores -inf + inf = NaN in float64, while its exact score is
+    -2e308 + 2e308 + 1e308 = 1e308 > 0.  The coupled pairs admit the edges
+    (0, 2) and (3, 1).
+    """
+    return QuboMatrix.from_entries(
+        4, [(0, 0, 1e308), (1, 1, -1e308), (1, 2, 1e308), (0, 2, -1e308), (1, 3, 1e308)]
+    )
+
+
+@pytest.fixture
 def example_q() -> QuboMatrix:
     """Three-variable worked example used across the suite.
 

@@ -166,6 +166,16 @@ class TestPipeline:
         assert "(1, 0)" in err and "score" in err
         assert not out.exists()
 
+    def test_nan_score_rejected(self, tmp_path, overflow_q, capsys):
+        qubo_path, order_path, out = tmp_path / "q.json", tmp_path / "order.json", tmp_path / "lin.json"
+        save_qubo(overflow_q, qubo_path)
+        save_order(OrderDag(4, ((0, 1),)), order_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["linearize", "--in", str(qubo_path), "--order", str(order_path), "--out", str(out)])
+        assert code == 3
+        assert "order rejected: edge (0, 1) has score nan > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_verify_overrides(self, tmp_path, example_file):
         bad = tmp_path / "bad_order.json"
         save_order(OrderDag(3, ((1, 0),)), bad)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ class TestSparseExtraction:
         bound = ordering._first_columns_bound(q, ordering._first_columns_slab(q), src, dst)
         assert np.all(bound <= ordering._pair_scores(q, src, dst))
 
+    def test_agrees_with_dense_where_sums_overflow(self, overflow_q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sparse = extract_order_sparse(overflow_q).edges.tolist()
+            dense = extract_order_dense(overflow_q).edges.tolist()
+        assert sparse == [[0, 2], [3, 1]]
+        assert [e for e in dense if symmetric_coefficient(overflow_q, *e)] == sparse
+
+    def test_agrees_with_dense_on_huge_coefficients(self):
+        # the score sums of both engines leave out k = i and k = j alike, so
+        # where they overflow to inf, they overflow on the same pairs
+        for q in _scaled_corpus(0.6e308, 20):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sparse = extract_order_sparse(q).edges.tolist()
+                dense = extract_order_dense(q).edges.tolist()
+            assert [e for e in dense if symmetric_coefficient(q, *e)] == sparse
+
     def test_large_sparse_instance(self):
         # genuinely sparse input: the neighbourhood-restricted scan must stay
         # cheap and keep agreeing with the dense scan on adjacent pairs
@@ -202,6 +219,18 @@ class TestSparseExtraction:
         }
         assert sparse == dense_adjacent
         assert all(score_pair(q, i, j) <= 0 for i, j in sparse)
+
+
+def _scaled_corpus(scale: float, per_n: int) -> Iterator[QuboMatrix]:
+    """``per_n`` random QUBOs for each n = 3-9, every coefficient in
+    {0, +-1, +-2} and 30 % of them scaled by ``scale``."""
+    rng = np.random.default_rng(2024)
+    for n in range(3, 10):
+        for _ in range(per_n):
+            u = np.triu(rng.integers(-2, 3, size=(n, n))).astype(float)
+            u[rng.random((n, n)) < 0.3] *= scale
+            i, j = np.nonzero(u)
+            yield QuboMatrix.from_arrays(n, i, j, u[i, j])
 
 
 def _kernel_corpus() -> list[QuboMatrix]:
@@ -294,8 +323,9 @@ class TestScoreKernels:
 
 
 class TestNeighbourLists:
-    """``QuboMatrix._csr`` merges the canonical order's runs of upper and
-    lower neighbours: the same arrays as one sort of all pair keys."""
+    """``QuboMatrix._csr`` sorts both orientations of every coupling by row
+    alone, the lower neighbours first, in one stable sort: the same arrays
+    as one sort of all pair keys."""
 
     @staticmethod
     def assert_as_key_sort(q: QuboMatrix):
@@ -317,10 +347,24 @@ class TestNeighbourLists:
         on = base.rows == base.cols if diagonal_only else slice(None)
         self.assert_as_key_sort(QuboMatrix.from_arrays(n + isolated, base.rows[on], base.cols[on], base.vals[on]))
 
+    def test_peak_memory(self):
+        # README: building the lists peaks within 93 bytes per coupling (77
+        # measured on hard n = 300)
+        q = generate_hard(300, seed=1)
+        couplings = int(np.count_nonzero(q.rows != q.cols))
+        tracemalloc.start()
+        try:
+            q._csr
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 93 * couplings
+
     def test_heavy_extraction_peak_memory(self):
         # README: on hard n = 300 every coupled pair is heavy; extraction peaks
-        # within 112 bytes per coupling (97 measured, in building these
-        # lists), the first-columns bound taking pairs a quarter budget at a time
+        # within 112 bytes per coupling (97 measured, in scoring the pairs
+        # after these lists), the first-columns bound taking pairs a quarter
+        # budget at a time
         q = generate_hard(300, seed=1)
         couplings = int(np.count_nonzero(q.rows != q.cols))
         assert not ordering._is_light(q, *_coupled_pairs(q)).any()
@@ -353,6 +397,13 @@ class TestVerifyOrder:
     def test_dimension_mismatch(self, example_q):
         with pytest.raises(ValueError):
             verify_order(example_q, OrderDag(4, ()))
+
+    def test_nan_score_fails(self, overflow_q):
+        # -inf + inf: NaN is not <= 0, the admission test of both engines
+        with np.errstate(over="ignore", invalid="ignore"):
+            i, j, s = find_order_violation(overflow_q, OrderDag(4, ((0, 1),)))[1]
+            assert not verify_order(overflow_q, OrderDag(4, ((0, 2), (0, 1))))
+        assert (i, j) == (0, 1) and np.isnan(s)
 
     def test_cycle_among_ties_is_found(self):
         # 1 -> 2 -> 3 -> 1 keeps the diagonal; 0 -> 1 lowers it

@@ -2,9 +2,11 @@
 
 Each workload goes through the set-up and the measuring loop of
 ``perfbench/run.py``, whose checks compare every output with computations
-made apart from the program.
+made apart from the program, once untraced and once traced, where the
+per-layer metrics read the arguments and results of the traced calls.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -31,9 +33,23 @@ def run():
     sys.modules.update(saved)
 
 
-@pytest.mark.parametrize("name", ["dense-verify", "sparse-fused", "hard-fused", "mkp-anneal"])
+WORKLOADS = ["dense-verify", "sparse-fused", "hard-fused", "mkp-anneal"]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_runs_without_a_failed_job(run, tmp_path, name):
     workload = run.WORKLOADS[name](3, tmp_path, True)
     cli, _, _ = run.set_up(workload, None, "setup")
     m = run.measure(cli, workload.jobs(), 0.0, None)
     assert m.attempted > 0 and m.failed == 0
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_traced_workload_reports_finite_metrics(run, tmp_path, name):
+    workload = run.WORKLOADS[name](3, tmp_path, True)
+    tracer = run.Tracer()
+    cli, import_s, gen_s = run.set_up(workload, tracer, "setup0")
+    m = run.measure(cli, workload.jobs(), 0.0, tracer)
+    assert m.failed == 0 and m.traced_jobs
+    metrics = run.per_layer(m, tracer, [(import_s, gen_s)])
+    assert all(math.isfinite(value) for value, _ in metrics.values())
