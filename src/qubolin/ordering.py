@@ -169,6 +169,14 @@ def _node_groups(q: QuboMatrix, nodes: np.ndarray, pairs: np.ndarray, step: int)
         yield pairs[group], _coupling_rows(q, distinct[g * step : (g + 1) * step]), rank[group] - g * step
 
 
+def _overflow_decided():
+    """The numpy error state of score sums: an overflow to +-inf, or an
+    inf - inf that reads NaN, passes without a warning, since the test
+    ``<= 0.0`` of every caller already decides those scores (and a rise of
+    +-inf keeps its sign)."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _is_light(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Which pairs ``(src[t], dst[t])`` :func:`_pair_scores` scores over their neighbours alone."""
     return _degrees(q, src) + _degrees(q, dst) < _LIGHT_SHARE * q.n
@@ -185,9 +193,10 @@ def _pair_scores(q: QuboMatrix, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """
     light = _is_light(q, src, dst)
     scores = np.empty(src.size)
-    for kernel, part in ((_support_scores, light), (_row_scores, ~light)):
-        if part.any():
-            scores[part] = kernel(q, src[part], dst[part])
+    with _overflow_decided():
+        for kernel, part in ((_support_scores, light), (_row_scores, ~light)):
+            if part.any():
+                scores[part] = kernel(q, src[part], dst[part])
     return scores
 
 
@@ -369,9 +378,12 @@ def extract_order_dense(q: QuboMatrix) -> OrderDag:
     with edges pointing from lower to higher index.
     """
     src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for i, admitted in _admitted_rows(q):
-        src.append(np.full(admitted.size, i))
-        dst.append(admitted)
+    # around the loop, not in the generator: a with there would stay entered
+    # here across each yield
+    with _overflow_decided():
+        for i, admitted in _admitted_rows(q):
+            src.append(np.full(admitted.size, i))
+            dst.append(admitted)
     return _scan_order(q.n, np.concatenate(src), np.concatenate(dst))
 
 
@@ -401,9 +413,10 @@ def extract_order_sparse(q: QuboMatrix) -> OrderDag:
     if heavy.size:
         slab = _first_columns_slab(q)
         alive = np.ones(src.size, dtype=bool)
-        for lo in range(0, heavy.size, _SCORE_BLOCK // 4):
-            t = heavy[lo : lo + _SCORE_BLOCK // 4]
-            alive[t] = _first_columns_bound(q, slab, src.take(t), dst.take(t)) <= 0.0
+        with _overflow_decided():
+            for lo in range(0, heavy.size, _SCORE_BLOCK // 4):
+                t = heavy[lo : lo + _SCORE_BLOCK // 4]
+                alive[t] = _first_columns_bound(q, slab, src.take(t), dst.take(t)) <= 0.0
         src, dst = src[alive], dst[alive]
     admitted = _pair_scores(q, src, dst) <= 0.0
     return _scan_order(n, src[admitted], dst[admitted])
@@ -440,7 +453,8 @@ def find_order_violation(q: QuboMatrix, g: OrderDag):
     if q.n != g.n:
         raise ValueError(f"order over {g.n} variables does not match QUBO with n={q.n}")
     _check_bytes("topological sort", g.n, 80 * g.n)  # before the smaller diagonal
-    rise = q._diag[g.edges[:, 1]] - q._diag[g.edges[:, 0]]
+    with _overflow_decided():
+        rise = q._diag[g.edges[:, 1]] - q._diag[g.edges[:, 0]]
     if topological_order(g if (rise > 0.0).any() else OrderDag._of(g.n, g.edges[rise == 0.0])) is None:
         return ("cycle", None)
     scores = _pair_scores(q, g.edges[:, 0], g.edges[:, 1])
@@ -473,4 +487,7 @@ def save_order(g: OrderDag, path: str | Path) -> None:
 
 def load_order(path: str | Path) -> OrderDag:
     n, rows, columns = _load_rows(path, "edges", 2)
-    return OrderDag(n, rows) if columns is None else OrderDag._of(n, _edge_array(n, columns=columns))
+    if columns is None:
+        return OrderDag(n, rows)
+    del rows  # the file's bytes, before the edge array is built
+    return OrderDag._of(n, _edge_array(n, columns=columns))

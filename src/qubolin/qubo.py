@@ -10,6 +10,7 @@ generators emit integer coefficients, which keeps float64 arithmetic exact.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from functools import cached_property
@@ -161,9 +162,10 @@ def _typed_column(col, dtype) -> np.ndarray:
     return col.astype(dtype, copy=False)
 
 
-def _canonical(n: int, entries=None, columns=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _canonical(n: int, entries=None, columns=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Sorted ``(rows, cols, vals)`` of the QUBO table ``entries`` or
-    ``columns``, which :func:`_table` checks.
+    ``columns``, which :func:`_table` checks, and whether they hold the
+    table's columns as given: in canonical order, with no zero dropped.
 
     Lower-triangular entries fold into their upper mirror by addition, and
     entries that fold to exactly zero are dropped.  The same literal key
@@ -177,7 +179,7 @@ def _canonical(n: int, entries=None, columns=None) -> tuple[np.ndarray, np.ndarr
     span = min(n, INDEX_LIMIT)
     if rows.dtype == np.int64 and _in_order(rows, cols, vals, span):
         keep = vals != 0.0
-        return rows[keep], cols[keep], vals[keep]
+        return rows[keep], cols[keep], vals[keep], bool(keep.all())
     outside = (rows < 0) | (cols < 0) | (rows >= span) | (cols >= span)
     inside = (np.where(outside, 0, rows), np.where(outside, 0, cols)) if outside.any() else (rows, cols)
     order, key = _pair_runs(*inside)
@@ -206,7 +208,7 @@ def _canonical(n: int, entries=None, columns=None) -> tuple[np.ndarray, np.ndarr
         t = bad[0]
         raise ValueError(f"coefficient at ({lo[t]}, {hi[t]}) is not finite once folded: {float(vals[t])!r}")
     keep = vals != 0.0
-    return lo[keep], hi[keep], vals[keep]
+    return lo[keep], hi[keep], vals[keep], False
 
 
 def _in_order(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, span: int) -> bool:
@@ -231,28 +233,35 @@ class QuboMatrix:
     a finite nonzero coefficient.  Build one with :meth:`from_entries` or
     :meth:`from_arrays`.  Instances are safe to share across threads; all
     operations on them are pure.
+
+    ``_text`` holds the bytes of the file the matrix was read from when
+    they are exactly what :func:`save_qubo` writes for it, else None.
     """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    _text: bytes | None
 
     @classmethod
-    def _of(cls, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "QuboMatrix":
+    def _of(
+        cls, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, text: bytes | None = None
+    ) -> "QuboMatrix":
         """Wrap arrays that already satisfy the invariants, without checks."""
         q = object.__new__(cls)
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
             arr.flags.writeable = False
             object.__setattr__(q, name, arr)
         object.__setattr__(q, "n", n)
+        object.__setattr__(q, "_text", text)
         return q
 
     @staticmethod
     def from_arrays(n: int, rows, cols, vals) -> "QuboMatrix":
         """Build a matrix from parallel arrays or sequences of raw
         ``(i, j, value)`` entries, under the rules of :meth:`from_entries`."""
-        return QuboMatrix._of(n, *_canonical(n, columns=(rows, cols, vals)))
+        return QuboMatrix._of(n, *_canonical(n, columns=(rows, cols, vals))[:3])
 
     @staticmethod
     def from_entries(n: int, entries: Iterable[tuple[int, int, float]]) -> "QuboMatrix":
@@ -263,7 +272,7 @@ class QuboMatrix:
         (it almost always indicates a generator bug), and entries that fold
         to exactly zero are dropped.  Entries of other types are rejected.
         """
-        return QuboMatrix._of(n, *_canonical(n, entries))
+        return QuboMatrix._of(n, *_canonical(n, entries)[:3])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"QuboMatrix is immutable; cannot set {name!r}")
@@ -418,31 +427,47 @@ def _save_rows(path: str | Path, head: dict, key: str, *columns: np.ndarray) -> 
     Path(path).write_text(f"{json.dumps(head)[:-1]}, {json.dumps(key)}: {_json_rows(*columns)}}}\n")
 
 
-def _load_rows(path: str | Path, key: str, width: int) -> tuple[object, list | None, list[np.ndarray] | None]:
-    """``(n, rows, None)`` or ``(n, None, columns)`` of a file in the layout
+def _load_rows(path: str | Path, key: str, width: int) -> tuple[object, list | bytes, list[np.ndarray] | None]:
+    """``(n, rows, None)`` or ``(n, data, columns)`` of a file in the layout
     of :func:`_save_rows`: a JSON object with ``n`` and a list of rows of
     ``width`` entries under ``key``, the first two of them indices.
 
-    A file that is exactly what :func:`_save_rows` writes is read as int64
-    index and float64 value columns (``_rows.parse_rows``); any other file
-    goes through ``json.loads``.  Both give the caller's table check
-    (:func:`_table`) the same numbers, which checks ``n`` and the rows.
-    Raises :class:`LimitError` before reading a file of more than
-    ``DENSE_MAX_BYTES / LOAD_FACTOR`` bytes.
+    A file whose bytes ``data`` are exactly what :func:`_save_rows` writes
+    is read as int64 index and float64 value columns (``_rows.parse_rows``);
+    any other file goes through ``json.loads``.  Both give the caller's
+    table check (:func:`_table`) the same numbers, which checks ``n`` and
+    the rows.  The file is read once.  One over ``DENSE_MAX_BYTES /
+    LOAD_FACTOR`` bytes raises :class:`LimitError`: by its size, before it
+    is read, or where the size does not show it, once the read passes
+    that limit by a byte.
     """
     size = Path(path).stat().st_size
     if LOAD_FACTOR * size > DENSE_MAX_BYTES:
         raise LimitError(
             f"loading {path} of {size} bytes needs {LOAD_FACTOR * size} bytes, over the limit of {DENSE_MAX_BYTES}"
         )
+    with open(path, "rb") as f:
+        data = f.read(size + 1)
+        if len(data) > size:
+            # a pipe's size reads 0, and a file may grow after its size is read
+            data += f.read(DENSE_MAX_BYTES // LOAD_FACTOR + 1 - len(data))
+    if LOAD_FACTOR * len(data) > DENSE_MAX_BYTES:
+        raise LimitError(
+            f"loading {path} of at least {len(data)} bytes needs at least {LOAD_FACTOR * len(data)} bytes,"
+            f" over the limit of {DENSE_MAX_BYTES}"
+        )
     # imported on first use: where no bytecode cache is written, every
     # `import qubolin` would compile the reader, also for commands that read no file
     from ._rows import parse_rows
 
-    parsed = parse_rows(Path(path).read_bytes(), key, width)
+    parsed = parse_rows(data, key, width)
     if parsed is not None:
-        return parsed[0], None, parsed[1]
-    data = json.loads(Path(path).read_text())
+        return parsed[0], data, parsed[1]
+    # decoded as Path.read_text decodes, newlines included, so that
+    # json.loads reads the same text and its messages stay the same
+    text = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+    del data  # before json.loads builds the rows
+    data = json.loads(text)
     try:
         n, rows = data["n"], data[key]
     except (KeyError, TypeError) as exc:
@@ -454,9 +479,17 @@ def _load_rows(path: str | Path, key: str, width: int) -> tuple[object, list | N
 
 
 def save_qubo(q: QuboMatrix, path: str | Path) -> None:
-    _save_rows(path, {"n": q.n}, "terms", q.rows, q.cols, q.vals)
+    if q._text is not None:
+        Path(path).write_bytes(q._text)
+    else:
+        _save_rows(path, {"n": q.n}, "terms", q.rows, q.cols, q.vals)
 
 
 def load_qubo(path: str | Path) -> QuboMatrix:
     n, rows, columns = _load_rows(path, "terms", 3)
-    return QuboMatrix._of(n, *_canonical(n, rows, columns))
+    if columns is None:
+        return QuboMatrix._of(n, *_canonical(n, rows)[:3])
+    *arrays, as_given = _canonical(n, columns=columns)
+    # rows holds the file's bytes, which parse_rows proved to be the writer's
+    # text of the columns: kept as given, they are the matrix's text too
+    return QuboMatrix._of(n, *arrays, rows if as_given else None)

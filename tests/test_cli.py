@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,25 @@ class TestPipeline:
         assert code == 3
         assert "order rejected: edge (0, 1) has score nan > 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["order", "--in", "{q}", "--out", "{o}"], 0, "extracted 3 edges over 4 variables"),
+        (["order", "--sparse", "--in", "{q}", "--out", "{o}"], 0, "extracted 2 edges over 4 variables"),
+        (["linearize", "--in", "{q}", "--out", "{o}"], 0, "removed 1 off-diagonals (3 -> 2)"),
+        (["linearize", "--in", "{q}", "--order", "{dense}", "--out", "{o}"], 0, "removed 1 off-diagonals (3 -> 2)"),
+        (["linearize", "--in", "{q}", "--order", "{bad}", "--out", "{o}"], 3, ""),
+    ], ids=["order", "order-sparse", "linearize", "linearize-order", "linearize-rejected"])
+    def test_overflowing_scores_warn_nothing(self, tmp_path, overflow_q, capsys, argv, code, out):
+        # the scores overflow to +-inf or read NaN, which admission decides
+        paths = {k: tmp_path / f"{k}.json" for k in ("q", "o", "dense", "bad")}
+        save_qubo(overflow_q, paths["q"])
+        save_order(OrderDag(4, ((0, 2), (3, 1), (3, 2))), paths["dense"])
+        save_order(OrderDag(4, ((0, 1),)), paths["bad"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([a.format(**paths) for a in argv]) == code
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().out.startswith(out)
 
     def test_no_verify_overrides(self, tmp_path, example_file):
         bad = tmp_path / "bad_order.json"

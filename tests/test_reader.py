@@ -6,12 +6,15 @@ distinct; any other file goes through ``json.loads``.  Both must give the
 same matrix or order, or the same error.
 """
 
+import builtins
+import io
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -345,3 +348,184 @@ def _load_peak(tmp_path, key) -> float:
     finally:
         tracemalloc.stop()
     return peak / path.stat().st_size
+
+
+def _formatted(q, path) -> bytes:
+    """The bytes the writer formats for ``q``, saved from a copy that keeps no file bytes."""
+    copy = QuboMatrix.from_arrays(q.n, q.rows, q.cols, q.vals)
+    assert copy._text is None
+    save_qubo(copy, path)
+    return path.read_bytes()
+
+
+class TestKeptBytes:
+    """A matrix read from the writer's bytes, whose columns pass the entry
+    check as they are, keeps those bytes, and saving it writes them back."""
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, key) in _WRITTEN.items() if key == "terms"))
+    def test_written_files_save_as_read(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "mkp", "--n", "12", "--m", "2", "--alpha", "0.5", "--seed", "1", "--out", "inst.txt"]) == 0
+        assert main(["gen", "synth", "--n", "60", "--p", "2.0", "--seed", "3", "--out", "q.json"]) == 0
+        assert main(["order", "--in", "q.json", "--out", "order.json"]) == 0
+        argv, _ = _WRITTEN[name]
+        names = {"out": "out.json", "mkp": "inst.txt", "qubo": "q.json", "order": "order.json"}
+        assert main([a.format(**names) for a in argv]) == 0
+        written = (tmp_path / "out.json").read_bytes()
+        q = load_qubo(tmp_path / "out.json")
+        # a knapsack encoding goes through json.loads, which keeps nothing
+        assert (q._text is None) == name.startswith("encode")
+        assert q._text in (None, written)
+        assert _formatted(q, tmp_path / "copy.json") == written
+        save_qubo(q, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == written
+
+    # the writer's byte layout, but not a canonical table: the 15 pairs of
+    # n = 5 with at most three distinct values keep the file on the array path
+    _TABLE = [[i, j, -3.0 if i == j else 2.0] for i, j in itertools.combinations_with_replacement(range(5), 2)]
+    _CHANGED = {
+        "unsorted": _TABLE[::-1],
+        "zero-value": [*_TABLE[:3], [0, 3, 0.0], *_TABLE[4:]],
+        "lower-triangular": [*_TABLE[:6], [2, 1, 2.0], *_TABLE[7:]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(_CHANGED))
+    def test_tables_that_change_keep_nothing(self, tmp_path, paths_taken, name):
+        rows = self._CHANGED[name]
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"n": 5, "terms": rows}) + "\n")
+        q = load_qubo(path)
+        assert paths_taken == [True]
+        assert q._text is None
+        assert q == QuboMatrix.from_entries(5, [tuple(r) for r in rows])
+        save_qubo(q, tmp_path / "out.json")
+        saved = (tmp_path / "out.json").read_bytes()
+        assert saved == _formatted(q, tmp_path / "copy.json") != path.read_bytes()
+
+    def test_repeated_key_keeps_its_error(self, tmp_path, paths_taken):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"n": 5, "terms": [*self._TABLE[:2], *self._TABLE[1:]]}) + "\n")
+        with pytest.raises(ValueError, match=r"^duplicate entry for key \(0, 1\)$"):
+            load_qubo(path)
+        assert paths_taken == [True]
+
+    def test_fused_pass_that_moves_nothing_writes_the_input(self, tmp_path, monkeypatch, capsys):
+        src, out = tmp_path / "hard.json", tmp_path / "out.json"
+        assert main(["gen", "hard", "--n", "120", "--seed", "7", "--out", str(src)]) == 0
+
+        def no_formatting(*columns):
+            raise AssertionError("the output was formatted again")
+
+        monkeypatch.setattr(qubo, "_json_rows", no_formatting)
+        capsys.readouterr()
+        assert main(["linearize", "--in", str(src), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("removed 0 off-diagonals")
+        assert out.read_bytes() == src.read_bytes()
+
+    def test_other_matrices_keep_nothing(self, tmp_path):
+        path = tmp_path / "q.json"
+        q = generate_hard(30, 1)
+        save_qubo(q, path)
+        loaded = load_qubo(path)
+        assert loaded._text == path.read_bytes()
+        assert q._text is None
+        assert QuboMatrix.from_arrays(q.n, loaded.rows, loaded.cols, loaded.vals)._text is None
+        # equality and hashing see the arrays alone
+        assert loaded == q and hash(loaded) == hash(q)
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """The paths opened, through ``open`` or ``io.open`` (which pathlib uses)."""
+    opened, real = [], io.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(Path(file).name if isinstance(file, (str, Path)) else file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)
+    return opened
+
+
+class TestReadOnce:
+    """Each load reads its file once, and no further than the size limit."""
+
+    @pytest.mark.parametrize("kind", ["hard", "encoding", "integer-values", "order"])
+    def test_one_read_per_load(self, tmp_path, paths_taken, opens, kind):
+        path = tmp_path / "f.json"
+        if kind == "hard":
+            save_qubo(generate_hard(40, 2), path)
+        elif kind == "encoding":
+            assert main(["gen", "mkp", "--n", "12", "--m", "1", "--alpha", "0.5", "--seed", "1",
+                         "--out", str(tmp_path / "inst.txt")]) == 0
+            assert main(["encode", "--mkp", str(tmp_path / "inst.txt"), "--lambda", "0.37", "--out", str(path)]) == 0
+        elif kind == "integer-values":
+            path.write_text('{"n": 3, "terms": [[0, 1, 5], [1, 2, -2]]}\n')
+        else:
+            save_order(OrderDag(5, [(0, 1), (0, 4), (3, 2)]), path)
+        paths_taken.clear()
+        opens.clear()
+        (load_order if kind == "order" else load_qubo)(path)
+        assert opens == ["f.json"]
+        assert paths_taken == [kind in ("hard", "order")]
+
+    @staticmethod
+    def _feed(fifo: Path, data: bytes) -> threading.Thread:
+        """A thread that writes ``data`` into the named pipe once a reader opens it."""
+
+        def write():
+            try:
+                with open(fifo, "wb") as f:
+                    f.write(data)
+            except BrokenPipeError:  # the reader stopped at the limit
+                pass
+
+        thread = threading.Thread(target=write, daemon=True)
+        thread.start()
+        return thread
+
+    @staticmethod
+    def _release(fifo: Path, thread: threading.Thread) -> None:
+        """Let a writer that no reader met finish, then wait for it."""
+        if thread.is_alive():
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        thread.join(10)
+        assert not thread.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
+    def test_pipe_over_the_limit_exits_four(self, tmp_path, monkeypatch, capsys, paths_taken):
+        source, fifo, out = tmp_path / "q.json", tmp_path / "q.pipe", tmp_path / "out.json"
+        save_qubo(generate_hard(40, 3), source)
+        data = source.read_bytes()
+        os.mkfifo(fifo)
+        # a pipe's size reads 0, so only the read itself can stop at the limit
+        limit = len(data) // 2
+        monkeypatch.setattr(qubo, "DENSE_MAX_BYTES", qubo.LOAD_FACTOR * limit)
+        thread = self._feed(fifo, data)
+        try:
+            code = main(["linearize", "--in", str(fifo), "--out", str(out)])
+        finally:
+            self._release(fifo, thread)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"loading {fifo} of at least {limit + 1} bytes" in err
+        assert f"over the limit of {qubo.LOAD_FACTOR * limit}" in err
+        assert paths_taken == [] and not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes")
+    def test_pipe_read_through_json_loads(self, tmp_path):
+        fifo, out = tmp_path / "q.pipe", tmp_path / "out.json"
+        os.mkfifo(fifo)
+        thread = self._feed(fifo, b'{"n": 3, "terms": [[0, 1, 5], [1, 1, -2]]}\n')
+        env = {**os.environ, "PYTHONPATH": str(Path(qubolin.__file__).parents[1])}
+        code = "import sys; from qubolin.cli import main; sys.exit(main(sys.argv[1:]))"
+        try:
+            # a second read of the pipe would wait for a writer forever
+            done = subprocess.run([sys.executable, "-c", code, "linearize", "--in", str(fifo), "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=60)
+        finally:
+            self._release(fifo, thread)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("removed 1 off-diagonals (1 -> 0)")
+        assert load_qubo(out) == QuboMatrix.from_entries(3, [(0, 0, 5), (1, 1, -2)])
